@@ -1,10 +1,11 @@
 """Cross-engine throughput: cold report under reference vs fast.
 
 Times :func:`repro.eval.report.generate_report` twice from a cold
-pipeline — once per engine — over the simulation-bound experiment
-subset, asserts the fast engine clears the 2x bar, verifies the two
-rendered reports are byte-identical, and writes the evidence to
-``benchmarks/reports/engine-speedup.txt``.
+pipeline — once inside :func:`repro.sim.diffcheck.reference_engine`,
+once on the fast engine every production run takes — over the
+simulation-bound experiment subset, asserts the fast engine clears the
+2x bar, verifies the two rendered reports are byte-identical, and
+writes the evidence to ``benchmarks/reports/engine-speedup.txt``.
 
 The subset holds every experiment whose cost is dominated by
 cycle-accurate execution: the case-study tables and figure, the
@@ -24,7 +25,7 @@ import time
 
 from repro.eval.report import generate_report
 from repro.pipeline.context import EvaluationContext, set_context
-from repro.sim.fastpath import set_default_engine
+from repro.sim.diffcheck import engine_scope
 
 REPORT_DIR = os.path.join(os.path.dirname(__file__), "reports")
 
@@ -39,13 +40,12 @@ SPEEDUP_FLOOR = 2.0
 def _cold_report(engine):
     """Render the sim-bound report subset from an empty pipeline."""
     previous_context = set_context(EvaluationContext())
-    previous_engine = set_default_engine(engine)
     try:
-        start = time.perf_counter()
-        text = generate_report(include=list(SIM_BOUND))
-        elapsed = time.perf_counter() - start
+        with engine_scope(engine):
+            start = time.perf_counter()
+            text = generate_report(include=list(SIM_BOUND))
+            elapsed = time.perf_counter() - start
     finally:
-        set_default_engine(previous_engine)
         set_context(previous_context)
     return elapsed, text
 

@@ -40,7 +40,7 @@ OUTER_ITERATIONS = 4
 def _machine():
     return Machine(case_study_program(array_words=ARRAY_WORDS,
                                       outer_iterations=OUTER_ITERATIONS),
-                   baseline_sram_config(), engine="fast")
+                   baseline_sram_config())
 
 
 def _bare_run():

@@ -11,7 +11,7 @@ domains:
   tests want to pin.
 * ``env`` — ``os.environ``/``os.getenv`` reads.  Artifact keys must be
   engine-free (PR 3/6): the key of a result may depend only on what
-  the result *is*, never on which engine/injector knob produced it.
+  the result *is*, never on which engine or evaluator produced it.
 
 Sinks are the places where bytes become durable or comparable: the
 ``repro.pipeline.keys`` fingerprint functions, checkpoint journal

@@ -18,21 +18,13 @@ quality trial counts:
   intervals, closing the loop against the analytic Fig. 5 values,
 * **vectorized evaluation** — the :mod:`~repro.campaign.batch`
   subsystem classifies a shard's sampled strikes in whole-array NumPy
-  passes (``--injector batch``), reproducing the per-trial evaluator's
-  counts exactly at an order of magnitude more trials per second.
+  passes, reproducing the per-trial evaluator's counts exactly at an
+  order of magnitude more trials per second.
 
 See ``docs/campaigns.md`` for the architecture and the checkpoint
 format, and ``examples/campaign_parallel.py`` for a worked example.
 """
 
-from .batch import (
-    INJECTOR_ENV,
-    INJECTORS,
-    default_injector,
-    effective_injector,
-    resolve_injector,
-    set_default_injector,
-)
 from .checkpoint import RunDirectory
 from .executor import execute_shard, shard_worker
 from .progress import ProgressEvent, ProgressPrinter
@@ -60,8 +52,6 @@ __all__ = [
     "ConfidenceInterval",
     "DEFAULT_MAX_RETRIES",
     "DEFAULT_SHARD_SIZE",
-    "INJECTOR_ENV",
-    "INJECTORS",
     "ProgressEvent",
     "ProgressPrinter",
     "RunDirectory",
@@ -71,12 +61,8 @@ __all__ = [
     "ShardRecord",
     "ShardScheduler",
     "analytic_vulnerability",
-    "default_injector",
     "drain_on_signals",
-    "effective_injector",
     "execute_shard",
-    "resolve_injector",
-    "set_default_injector",
     "shard_worker",
     "spawn_seed",
     "spawn_seeds",

@@ -20,124 +20,17 @@ and classified in whole-array NumPy passes:
 * :mod:`~repro.campaign.batch.classify` — closed-form vectorized codec
   outcome classification (parity / SEC-DED correct-detect-miscorrect),
 * :mod:`~repro.campaign.batch.engine` — the two shard evaluators:
-  :class:`TrialInjector` (per-trial, through the *real* codecs) and
-  :class:`BatchInjector` (vectorized), both consuming the same sampled
-  strike stream,
+  :class:`BatchInjector` (vectorized), which every campaign runs, and
+  :class:`TrialInjector` (per-trial, through the *real* codecs), its
+  oracle; both consume the same sampled strike stream,
 * :mod:`~repro.campaign.batch.equivalence` — digests, cross-checks, and
   the golden campaign corpus that lock the two evaluators together.
 
-Equivalence contract: for any spec, shard, and seed, ``batch`` and
-``trial`` produce *identical* :class:`~repro.faults.CampaignResult`
+Equivalence contract: for any spec, shard, and seed, the batch and
+trial evaluators produce *identical* :class:`~repro.faults.CampaignResult`
 counts — the batch classifier is closed-form codec behaviour, verified
 class-by-class against the real codecs (see ``tests/
-test_batch_injector.py`` and the CI injector matrix).  Only speed
-differs, exactly like the ``reference``/``fast`` execution engines of
-:mod:`repro.sim.fastpath`.
-
-The knob mirrors the engine knob: ``--injector trial|batch|auto`` on
-``repro campaign``, the ``REPRO_INJECTOR`` environment variable, or
-:func:`set_default_injector`.  ``auto`` (the default) picks ``batch``
-when NumPy is importable and falls back to the per-trial path
-otherwise; without NumPy the per-trial path is the classic
-:class:`~repro.faults.InjectionCampaign` stream.
+test_batch_injector.py``).  The trial evaluator runs only inside the
+equivalence harness (``repro golden`` and the tests), exactly like the
+reference step loop of :mod:`repro.sim.diffcheck`.
 """
-
-from __future__ import annotations
-
-import os
-
-from ...errors import ConfigurationError
-
-#: valid values of the injector knob
-INJECTORS = ("trial", "batch", "auto")
-
-#: environment override for the process-wide default injector
-INJECTOR_ENV = "REPRO_INJECTOR"
-
-_default_injector = None
-
-
-def default_injector():
-    """The process-wide default injector (``auto`` unless overridden).
-
-    Honours the ``REPRO_INJECTOR`` environment variable on first use; an
-    unknown value raises immediately rather than silently running the
-    wrong evaluator.
-    """
-    global _default_injector
-    if _default_injector is None:
-        value = os.environ.get(INJECTOR_ENV, "").strip().lower() or "auto"
-        if value not in INJECTORS:
-            raise ConfigurationError(
-                "%s=%r is not one of %s" % (INJECTOR_ENV, value,
-                                            "/".join(INJECTORS)))
-        _default_injector = value
-    return _default_injector
-
-
-def set_default_injector(name):
-    """Install a new default injector; returns the previous default."""
-    global _default_injector
-    if name not in INJECTORS:
-        raise ConfigurationError(
-            "unknown injector %r (one of %s)" % (name,
-                                                 "/".join(INJECTORS)))
-    previous = default_injector()
-    _default_injector = name
-    return previous
-
-
-def resolve_injector(choice):
-    """Normalise an injector choice (None means the process default)."""
-    if choice is None:
-        return default_injector()
-    if choice not in INJECTORS:
-        raise ConfigurationError(
-            "unknown injector %r (one of %s)" % (choice,
-                                                 "/".join(INJECTORS)))
-    return choice
-
-
-def numpy_available():
-    """Can the vectorized evaluators run in this process?"""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def effective_injector(choice=None):
-    """Resolve a choice down to the evaluator that will actually run.
-
-    ``auto`` becomes ``batch`` when NumPy is importable and ``trial``
-    otherwise, so campaigns never fail for lack of the optional
-    vectorized path — they just run the per-trial evaluator.
-    """
-    choice = resolve_injector(choice)
-    if choice != "auto":
-        return choice
-    return "batch" if numpy_available() else "trial"
-
-
-def run_shard(spec, shard_index, injector=None):
-    """Evaluate one shard with the chosen injector; returns the result.
-
-    Convenience wrapper over :meth:`CampaignSpec.build_injector
-    <repro.campaign.CampaignSpec.build_injector>` used by tests and the
-    equivalence harness.
-    """
-    evaluator = spec.build_injector(shard_index, injector=injector)
-    return evaluator.run(trials=spec.shard_trials(shard_index))
-
-
-__all__ = [
-    "INJECTORS",
-    "INJECTOR_ENV",
-    "default_injector",
-    "effective_injector",
-    "numpy_available",
-    "resolve_injector",
-    "run_shard",
-    "set_default_injector",
-]

@@ -10,6 +10,11 @@ campaign corpus** (``tests/golden/campaigns.json``) commits the counts
 of every bundled kernel plus the case study on the FTSPM structure, so
 a drift in either evaluator — or in the shared sampler both consume —
 fails a test naming the exact field that moved.
+
+Campaigns always run the batch evaluator; the per-trial
+:class:`~repro.campaign.batch.engine.TrialInjector` runs only here
+(for ``repro golden``) and in the tests and benchmarks that hold the
+two evaluators against each other.
 """
 
 from __future__ import annotations
@@ -19,11 +24,12 @@ import json
 import os
 
 from ...errors import CampaignError
+from ...faults.injector import CampaignResult
 from ...sim.diffcheck import (DiffReport, GOLDEN_CASE_ARRAY_WORDS,
                               GOLDEN_CASE_OUTER_ITERATIONS,
                               GOLDEN_STRUCTURE, golden_names)
 from ..spec import CampaignSpec
-from . import run_shard
+from .engine import BatchInjector, TrialInjector
 
 #: bump when the campaign digest layout or sampling discipline changes
 CAMPAIGN_GOLDEN_SCHEMA = 1
@@ -36,8 +42,8 @@ GOLDEN_TRIALS = 6_000
 GOLDEN_SHARD_SIZE = 2_000
 GOLDEN_SEED = 0xF7F7
 
-#: the injectors the corpus pins (both must reproduce the same counts)
-GOLDEN_INJECTORS = ("trial", "batch")
+#: the evaluators the corpus pins (both must reproduce the same counts)
+GOLDEN_INJECTORS = (TrialInjector, BatchInjector)
 
 
 def campaign_digest(result):
@@ -48,19 +54,18 @@ def campaign_digest(result):
 
 
 def campaign_outcome(spec, injector):
-    """Run every shard of ``spec`` serially; returns the merged result."""
-    from ...faults.injector import CampaignResult
-
+    """Run every shard of ``spec`` serially through the evaluator class
+    ``injector``; returns the merged result."""
     total = CampaignResult()
     for index in range(spec.shard_count):
-        total = total.merge(run_shard(spec, index, injector=injector))
+        total = total.merge(injector(spec, index).run())
     return total
 
 
 def compare_injectors(spec):
     """Run both evaluators over one spec and diff the result dicts."""
-    trial = campaign_outcome(spec, "trial")
-    batch = campaign_outcome(spec, "batch")
+    trial = campaign_outcome(spec, TrialInjector)
+    batch = campaign_outcome(spec, BatchInjector)
     return DiffReport(trial.to_dict(), batch.to_dict(),
                       labels=("trial", "batch"))
 
@@ -94,10 +99,10 @@ def golden_campaign_spec(name, structure=GOLDEN_STRUCTURE):
         seed=GOLDEN_SEED, shard_size=GOLDEN_SHARD_SIZE)
 
 
-def golden_campaign_entry(name, injector="trial"):
-    """Current counts + digest for one corpus entry."""
+def golden_campaign_entry(name):
+    """Current counts + digest for one corpus entry (trial evaluator)."""
     spec = golden_campaign_spec(name)
-    result = campaign_outcome(spec, injector)
+    result = campaign_outcome(spec, TrialInjector)
     return {
         "workload": name,
         "structure": GOLDEN_STRUCTURE,
@@ -115,7 +120,7 @@ def write_campaign_golden(directory, names=None):
     os.makedirs(directory, exist_ok=True)
     entries = {}
     for name in names or golden_campaign_names():
-        entries[name] = golden_campaign_entry(name, injector="trial")
+        entries[name] = golden_campaign_entry(name)
     payload = {
         "schema": CAMPAIGN_GOLDEN_SCHEMA,
         "structure": GOLDEN_STRUCTURE,
@@ -131,8 +136,7 @@ def write_campaign_golden(directory, names=None):
     return path
 
 
-def check_campaign_golden(directory, names=None,
-                          injectors=GOLDEN_INJECTORS):
+def check_campaign_golden(directory, names=None):
     """Compare both evaluators against the committed corpus.
 
     Returns ``{"name/injector": problem}`` — empty means every injector
@@ -159,10 +163,11 @@ def check_campaign_golden(directory, names=None,
                               "repro golden --update")
             continue
         spec = golden_campaign_spec(name)
-        for injector in injectors:
+        for injector in GOLDEN_INJECTORS:
             result = campaign_outcome(spec, injector)
             if campaign_digest(result) != entry["digest"]:
                 report = DiffReport(entry["result"], result.to_dict(),
-                                    labels=("committed", injector))
-                problems["%s/%s" % (name, injector)] = report.explain()
+                                    labels=("committed", injector.name))
+                problems["%s/%s" % (name, injector.name)] = (
+                    report.explain())
     return problems

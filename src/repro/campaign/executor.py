@@ -6,12 +6,6 @@ that shard's trials and return the serialized result.  Everything else
 — which pool the work lands on, stealing, retries, checkpoints — lives
 in the scheduler and runner layers, so the same entry point serves the
 classic ``repro campaign`` CLI and the long-lived job service.
-
-Execution knobs (engine/injector) are passed *per task* and installed
-around the shard, because a persistent pool's workers outlive any one
-job: two concurrent jobs with different knobs must not bleed defaults
-into each other.  Results are knob-invariant by the differential and
-batch-equivalence contracts, so the knobs change throughput only.
 """
 
 from __future__ import annotations
@@ -58,26 +52,17 @@ def _maybe_die(index):
     os._exit(1)  # simulate an OOM-kill/segfault: no cleanup, no excuse
 
 
-def execute_shard(spec, index, engine=None, injector=None):
-    """Run one shard to a :class:`CampaignResult` in this process.
-
-    ``engine``/``injector`` are installed as scoped process defaults
-    for the duration of the shard (``None`` defers to whatever the
-    process already defaults to).
-    """
-    from ..config import engine_knob, injector_knob
-
+def execute_shard(spec, index):
+    """Run one shard to a :class:`CampaignResult` in this process."""
     if index in _injected_failures():
         raise CampaignError(
             "injected failure for shard %d (%s)" % (index, FAIL_SHARDS_ENV))
     _maybe_die(index)
-    with engine_knob().installed(engine):
-        with injector_knob().installed(injector):
-            evaluator = spec.build_injector(index, injector=injector)
-            return evaluator.run(trials=spec.shard_trials(index))
+    evaluator = spec.build_injector(index)
+    return evaluator.run(trials=spec.shard_trials(index))
 
 
-def shard_worker(spec, index, engine=None, injector=None, trace_ctx=None):
+def shard_worker(spec, index, trace_ctx=None):
     """Pool entry point: ``(index, result_dict, elapsed, spans)``.
 
     ``trace_ctx`` is the parent's serialized span context (see
@@ -93,7 +78,6 @@ def shard_worker(spec, index, engine=None, injector=None, trace_ctx=None):
                       attrs={"shard": index,
                              "trials": spec.shard_trials(index),
                              "seed": spec.shard_seed(index)}):
-            result = execute_shard(spec, index, engine=engine,
-                                   injector=injector)
+            result = execute_shard(spec, index)
     return (index, result.to_dict(), time.perf_counter() - start,
             collector.records)

@@ -82,14 +82,12 @@ class ShardListener:
 class ShardJob:
     """Handle for one submitted job: its deque, progress, and waiters."""
 
-    def __init__(self, job_id, spec, indices, max_retries, engine,
-                 injector, listener, trace_ctx=None):
+    def __init__(self, job_id, spec, indices, max_retries, listener,
+                 trace_ctx=None):
         self.id = job_id
         self.spec = spec
         self.indices = list(indices)
         self.max_retries = max_retries
-        self.engine = engine
-        self.injector = injector
         self.listener = listener or ShardListener()
         self.trace_ctx = trace_ctx  # parent span context for workers
         self.pending = deque(self.indices)
@@ -154,7 +152,7 @@ class ShardScheduler:
     # --- submission ------------------------------------------------------------
 
     def submit(self, spec, indices=None, max_retries=DEFAULT_MAX_RETRIES,
-               engine=None, injector=None, listener=None, trace_ctx=None):
+               listener=None, trace_ctx=None):
         """Queue a job's shards; returns its :class:`ShardJob` handle.
 
         ``indices`` defaults to every shard of ``spec``; a resumed
@@ -171,8 +169,7 @@ class ShardScheduler:
             if self._draining:
                 raise SchedulerClosed("scheduler is draining")
             job = ShardJob(next(self._ids), spec, indices, max_retries,
-                           engine, injector, listener,
-                           trace_ctx=trace_ctx)
+                           listener, trace_ctx=trace_ctx)
             job._scheduler = self
             self.stats["jobs_submitted"] += 1
             if not job.unresolved:  # zero shards: trivially complete
@@ -235,15 +232,13 @@ class ShardScheduler:
     def _pool_submit(self, job, index):
         try:
             return self._ensure_pool().submit(
-                shard_worker, job.spec, index,
-                job.engine, job.injector, job.trace_ctx)
+                shard_worker, job.spec, index, job.trace_ctx)
         except BrokenProcessPool:
             # The pool broke between a callback and this dispatch;
             # rebuild once — a fresh pool cannot be broken yet.
             self._discard_pool()
             return self._ensure_pool().submit(
-                shard_worker, job.spec, index,
-                job.engine, job.injector, job.trace_ctx)
+                shard_worker, job.spec, index, job.trace_ctx)
 
     def _ensure_pool(self):
         if self._pool is None:

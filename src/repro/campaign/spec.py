@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from ..config import Protection
 from ..errors import CampaignError
-from ..faults.injector import InjectionCampaign, Target
+from ..faults.injector import Target
 from ..faults.mbu import MbuDistribution
 
 DEFAULT_SHARD_SIZE = 25_000
@@ -163,35 +163,13 @@ class CampaignSpec:
         return MbuDistribution(self.mbu_probabilities,
                                self.mbu_max_multiplicity)
 
-    def build_injector(self, shard_index, injector=None):
-        """The evaluator for one shard, seeded by the spawning discipline.
+    def build_injector(self, shard_index):
+        """The evaluator for one shard, seeded by the spawning discipline:
+        the vectorized :class:`~repro.campaign.batch.engine.BatchInjector`
+        (its per-trial oracle lives in the equivalence harness)."""
+        from .batch.engine import BatchInjector
 
-        ``injector`` is a :mod:`repro.campaign.batch` knob value
-        (``trial`` / ``batch`` / ``auto``); ``None`` defers to the
-        process default.  Both evaluators consume the identical sampled
-        strike stream, so the choice changes throughput, never counts.
-        Without NumPy the per-trial evaluator falls back to the classic
-        :class:`~repro.faults.InjectionCampaign` stream.
-        """
-        from .batch import effective_injector, numpy_available
-
-        choice = effective_injector(injector)
-        if not numpy_available():
-            if choice == "batch":
-                raise CampaignError(
-                    "injector 'batch' requires NumPy; use "
-                    "--injector trial")
-            return InjectionCampaign.from_targets(
-                self.targets, self.total_spm_bytes,
-                mbu=self.build_mbu(), seed=self.shard_seed(shard_index))
-        from .batch.engine import BatchInjector, TrialInjector
-
-        cls = BatchInjector if choice == "batch" else TrialInjector
-        return cls(self, shard_index)
-
-    def build_campaign(self, shard_index):
-        """The per-trial evaluator for one shard (reference discipline)."""
-        return self.build_injector(shard_index, injector="trial")
+        return BatchInjector(self, shard_index)
 
     # --- identity (manifest / resume validation) --------------------------------
 

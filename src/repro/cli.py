@@ -29,13 +29,12 @@ import os
 import sys
 
 from . import obs
-from .config import engine_knob, injector_knob, preset
+from .config import preset
 from .core.online import build_machine
 from .core.priorities import OptimizationMode, thresholds_for_mode
 from .errors import ReproError
 from .eval.experiments import experiment_names, run_experiment
 from .eval.structures import STRUCTURES
-from .faults.injector import InjectionCampaign
 from .isa.disasm import disassemble_program
 from .pipeline import get_context
 from .profile.report import format_profile_table
@@ -271,23 +270,15 @@ def _print_injection_counts(result):
 
 
 def _cmd_inject(args):
+    from .campaign import CampaignRunner, CampaignSpec
+
     _, profile = _resolve_workload(
         args.workload, args.array_words, args.outer_iterations, args.scale)
     _, plan, _ = get_context().plan(profile, args.structure)
-    if args.jobs == 1:
-        # The original single-process path: byte-identical output to
-        # previous releases for the same seed and trial count.
-        campaign = InjectionCampaign(
-            plan.avf_entries(profile), plan.total_spm_bytes(),
-            profile.total_cycles, seed=args.seed)
-        _print_injection_counts(campaign.run(trials=args.trials))
-        return 0
-    from .campaign import CampaignRunner, CampaignSpec
     spec = CampaignSpec.from_entries(
         plan.avf_entries(profile), plan.total_spm_bytes(),
         profile.total_cycles, trials=args.trials, seed=args.seed)
-    summary = CampaignRunner(spec, jobs=args.jobs, engine=args.engine,
-                             injector=args.injector).run()
+    summary = CampaignRunner(spec, jobs=args.jobs).run()
     _print_injection_counts(summary.result)
     interval = summary.interval("harmful")
     print("95%% Wilson CI:    [%.5f, %.5f]" % (interval.low, interval.high))
@@ -298,25 +289,16 @@ def _cmd_inject(args):
 
 def _print_campaign_plan(args, spec):
     """--dry-run: the complete shard plan, without running a trial."""
-    from .campaign.batch import effective_injector, numpy_available
+    from .campaign.batch.surface import StrikeSurface
     from .eval.tables import render_table
-    from .sim.fastpath import default_engine
 
-    injector = effective_injector(args.injector)
-    engine = args.engine or default_engine()
     print("campaign plan: %s on %s" % (args.workload, args.structure))
     print("trials:       {:,} in {} shard(s) of <= {:,}".format(
         spec.trials, spec.shard_count, spec.shard_size))
-    print("injector:     %s%s" % (
-        injector, "" if args.injector else " (default)"))
-    print("engine:       %s%s" % (
-        engine, "" if args.engine else " (default)"))
     print("jobs:         %d" % args.jobs)
-    if numpy_available():
-        from .campaign.batch.surface import StrikeSurface
-        fraction = StrikeSurface.from_spec(spec).fault_free_fraction()
-        print("fault-free:   %.1f%% of strikes fast-forward without "
-              "codec work" % (100.0 * fraction))
+    fraction = StrikeSurface.from_spec(spec).fault_free_fraction()
+    print("fault-free:   %.1f%% of strikes fast-forward without "
+          "codec work" % (100.0 * fraction))
     rows = [[row["shard"], "{:,}".format(row["trials"]),
              "0x%016x" % row["seed"]] for row in spec.shard_plan()]
     print(render_table(["Shard", "Trials", "Seed"], rows,
@@ -330,7 +312,6 @@ def _cmd_campaign(args):
         ProgressPrinter,
         analytic_vulnerability,
         drain_on_signals,
-        effective_injector,
     )
 
     if args.resume and not args.out:
@@ -346,8 +327,7 @@ def _cmd_campaign(args):
     progress = None if args.no_progress else ProgressPrinter()
     runner = CampaignRunner(spec, jobs=args.jobs, run_dir=args.out,
                             resume=args.resume, max_retries=args.retries,
-                            progress=progress, engine=args.engine,
-                            injector=args.injector)
+                            progress=progress)
     # First SIGINT/SIGTERM drains gracefully (in-flight shards finish
     # and checkpoint; pending ones stay resumable); a second one kills.
     with drain_on_signals(runner):
@@ -363,7 +343,6 @@ def _cmd_campaign(args):
           % analytic)
     print("CI brackets analytic:   %s"
           % ("yes" if interval.brackets(analytic) else "NO"))
-    print("injector:               %s" % effective_injector(args.injector))
     print("throughput:             {:,.0f} trials/s over {} job(s)".format(
         summary.throughput, args.jobs))
     if summary.drained:
@@ -385,8 +364,7 @@ def _cmd_serve(args):
     service = ReproService(host=args.host, port=args.port,
                            workers=args.workers,
                            job_threads=args.job_threads,
-                           cache_dir=args.cache_dir, engine=args.engine,
-                           injector=args.injector,
+                           cache_dir=args.cache_dir,
                            ledger_path=args.ledger)
 
     def announce():
@@ -423,10 +401,6 @@ def _cmd_submit(args):
 
     params = _parse_submit_params(args.param)
     params["workload"] = args.workload
-    for knob in (engine_knob(), injector_knob()):
-        value = getattr(args, knob.name, None)
-        if value is not None:
-            params[knob.name] = value
     client = ServiceClient(host=args.host, port=args.port,
                            timeout=args.timeout)
     try:
@@ -458,7 +432,7 @@ def _runs_ledger_path(args):
 
 
 def _flatten_record(record, prefix=""):
-    """Nested record -> sorted ``{"knobs.engine": ...}`` dotted keys."""
+    """Nested record -> sorted ``{"params.trials": ...}`` dotted keys."""
     flat = {}
     for name in sorted(record):
         value = record[name]
@@ -559,7 +533,7 @@ def _cmd_runs_compare(args):
 
 
 def _evaluation_params(args):
-    """The knob-ish argparse fields worth pinning in a ledger record."""
+    """The argparse fields worth pinning in a ledger record."""
     params = {"command": args.command}
     for name in ("workload", "structure", "trials", "seed", "shard_size",
                  "jobs", "array_words", "outer_iterations", "scale"):
@@ -624,6 +598,7 @@ def _cmd_golden(args):
     from .diff import check_mapping_golden, write_mapping_golden
     from .diff.snapshots import mapping_golden_dir
     from .sim.diffcheck import (
+        ENGINES,
         check_golden,
         corpus_file_digests,
         golden_names,
@@ -658,7 +633,11 @@ def _cmd_golden(args):
             print("wrote %s" % path)
         _report_corpus_changes(before, corpus_file_digests(args.dir))
         return 0
-    problems = check_golden(args.dir, names=names)
+    problems = {}
+    for engine in ENGINES:
+        for name, problem in check_golden(args.dir, names=names,
+                                          engine=engine).items():
+            problems["%s/%s" % (name, engine)] = problem
     for key, problem in check_campaign_golden(args.dir,
                                               names=names).items():
         problems["campaign:%s" % key] = problem
@@ -702,15 +681,14 @@ def _diff_flavors(args):
 def _diff_side_label(which, args):
     parts = ["%s profile" % (getattr(args, which + "_profile")
                              or "dynamic")]
-    for knob in ("structure", "engine", "injector"):
-        value = getattr(args, "%s_%s" % (which, knob))
-        if value:
-            parts.append("%s=%s" % (knob, value))
+    structure = getattr(args, which + "_structure")
+    if structure:
+        parts.append("structure=%s" % structure)
     return ", ".join(parts)
 
 
 def _diff_fresh_pair(args, thresholds):
-    """Two freshly computed runs of one workload, knobs per side."""
+    """Two freshly computed runs of one workload, settings per side."""
     from .diff import DiffSetReport, compute_snapshot, diff_snapshots
 
     report = DiffSetReport(thresholds=thresholds)
@@ -720,9 +698,7 @@ def _diff_fresh_pair(args, thresholds):
             args.workload,
             flavor=getattr(args, which + "_profile") or "dynamic",
             structure=getattr(args, which + "_structure")
-            or args.structure,
-            engine=getattr(args, which + "_engine"),
-            injector=getattr(args, which + "_injector"))
+            or args.structure)
     report.add(args.workload, diff_snapshots(
         sides["a"], sides["b"], a_label=_diff_side_label("a", args),
         b_label=_diff_side_label("b", args), key=args.workload))
@@ -812,14 +788,6 @@ def _cmd_disasm(args):
     return 0
 
 
-def _add_engine_argument(parser):
-    engine_knob().add_argument(parser)
-
-
-def _add_injector_argument(parser):
-    injector_knob().add_argument(parser)
-
-
 def _add_obs_arguments(parser):
     parser.add_argument("--trace", metavar="FILE.json", dest="trace",
                         help="record spans and write a Chrome/Perfetto "
@@ -849,7 +817,6 @@ def _add_workload_arguments(parser):
                         help="case-study outer loop count")
     parser.add_argument("--scale", type=int, default=1,
                         help="kernel input scale factor")
-    _add_engine_argument(parser)
 
 
 def build_parser():
@@ -878,7 +845,6 @@ def build_parser():
     p_report.add_argument("--timings", action="store_true",
                           help="print a per-experiment wall-clock table "
                                "to stderr")
-    _add_engine_argument(p_report)
     _add_obs_arguments(p_report)
     p_report.set_defaults(func=_cmd_report)
 
@@ -897,7 +863,6 @@ def build_parser():
                                "changes under src/repro/ (normally "
                                "refused so a regression cannot be "
                                "silently re-baselined)")
-    _add_engine_argument(p_golden)
     p_golden.set_defaults(func=_cmd_golden)
 
     p_diff = sub.add_parser(
@@ -924,7 +889,7 @@ def build_parser():
                              "mode")
     p_diff.add_argument("--workload", metavar="SPEC",
                         help="fresh-pair mode: compute BOTH sides of "
-                             "this workload, with per-side knobs "
+                             "this workload, with per-side settings "
                              "(--a-*/--b-*)")
     p_diff.add_argument("--structure", default="ftspm",
                         choices=sorted(STRUCTURES),
@@ -937,13 +902,6 @@ def build_parser():
         p_diff.add_argument("--%s-structure" % side,
                             choices=sorted(STRUCTURES), default=None,
                             help="side %s structure" % side)
-        p_diff.add_argument("--%s-engine" % side,
-                            choices=engine_knob().choices, default=None,
-                            help="side %s execution engine" % side)
-        p_diff.add_argument("--%s-injector" % side,
-                            choices=injector_knob().choices,
-                            default=None,
-                            help="side %s campaign injector" % side)
     p_diff.add_argument("--json", action="store_true",
                         help="print the machine-readable report "
                              "(schema: docs/schemas/"
@@ -1033,8 +991,8 @@ def build_parser():
     p_inject.add_argument("--trials", type=int, default=100_000)
     p_inject.add_argument("--seed", type=int, default=0xF7F7)
     p_inject.add_argument("--jobs", type=int, default=1,
-                          help="worker processes (1 = classic serial path)")
-    _add_injector_argument(p_inject)
+                          help="worker processes for shard execution "
+                               "(counts are identical for any value)")
     _add_obs_arguments(p_inject)
     p_inject.set_defaults(func=_cmd_inject)
 
@@ -1061,9 +1019,8 @@ def build_parser():
                             help="suppress per-shard progress on stderr")
     p_campaign.add_argument("--dry-run", action="store_true",
                             help="print the shard plan (shards, trials, "
-                                 "seeds, injector/engine) and exit "
-                                 "without running any trials")
-    _add_injector_argument(p_campaign)
+                                 "seeds) and exit without running any "
+                                 "trials")
     _add_obs_arguments(p_campaign)
     p_campaign.set_defaults(func=_cmd_campaign)
 
@@ -1085,8 +1042,6 @@ def build_parser():
     p_serve.add_argument("--ledger", metavar="FILE.jsonl",
                          help="append a run-ledger record per job and "
                               "expose it read-only at /v1/runs")
-    _add_engine_argument(p_serve)
-    _add_injector_argument(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 
     p_submit = sub.add_parser(
@@ -1107,8 +1062,6 @@ def build_parser():
                                "instead of polling for the result")
     p_submit.add_argument("--timeout", type=float, default=600.0,
                           help="seconds to wait for completion")
-    _add_engine_argument(p_submit)
-    _add_injector_argument(p_submit)
     p_submit.set_defaults(func=_cmd_submit)
 
     p_runs = sub.add_parser(
@@ -1133,14 +1086,14 @@ def build_parser():
     p_runs_list.set_defaults(func=_cmd_runs_list)
 
     p_runs_show = runs_sub.add_parser(
-        "show", help="replay one run's knobs/durations/stats")
+        "show", help="replay one run's params/durations/stats")
     p_runs_show.add_argument("id",
                              help="run id (a unique prefix works)")
     _add_runs_arguments(p_runs_show)
     p_runs_show.set_defaults(func=_cmd_runs_show)
 
     p_runs_compare = runs_sub.add_parser(
-        "compare", help="diff two runs' knobs, durations and stats")
+        "compare", help="diff two runs' params, durations and stats")
     p_runs_compare.add_argument("a", help="first run id")
     p_runs_compare.add_argument("b", help="second run id")
     _add_runs_arguments(p_runs_compare)
@@ -1182,15 +1135,9 @@ def main(argv=None):
 
         ledger = RunLedger(ledger_path)
         obs.set_ledger(ledger)
-        entry = ledger.begin(
-            "evaluation",
-            knobs={"engine": getattr(args, "engine", None),
-                   "injector": getattr(args, "injector", None)},
-            params=_evaluation_params(args))
+        entry = ledger.begin("evaluation", params=_evaluation_params(args))
     code = 1
     try:
-        if getattr(args, "engine", None):
-            engine_knob().set_default(args.engine)
         code = args.func(args)
         return code
     except ReproError as error:

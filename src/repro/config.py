@@ -17,7 +17,6 @@ All three share an 8 KB unprotected SRAM L1 instruction/data cache with
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigurationError
@@ -265,106 +264,6 @@ ALL_PRESETS = {
     "baseline-sttram": baseline_sttram_config,
     "ftspm": ftspm_config,
 }
-
-
-# --- execution knobs ---------------------------------------------------------
-
-class ExecutionKnob:
-    """One process-wide execution choice: CLI flag + env var + default.
-
-    The engine (``reference|fast|auto``) and injector (``trial|batch|
-    auto``) knobs surface with the same shape everywhere: an argparse
-    flag with fixed choices, an environment variable that fresh worker
-    processes read, a process-wide default, and a typo-rejecting
-    validator.  This class is the single definition that the CLI
-    (``campaign``/``inject``/``serve``/``submit``), the campaign
-    runner, and the job service share instead of keeping per-command
-    copies in sync.  Both knobs are *result-invariant* — they change
-    throughput, never counts — which is why they stay out of artifact
-    keys and job-coalescing keys.
-    """
-
-    def __init__(self, name, env, choices, resolve, set_default,
-                 help_text):
-        self.name = name
-        self.env = env
-        self.choices = tuple(choices)
-        self._resolve = resolve
-        self._set_default = set_default
-        self.help_text = help_text
-
-    @property
-    def flag(self):
-        return "--" + self.name
-
-    def add_argument(self, parser):
-        """Attach the knob's flag to an argparse parser."""
-        parser.add_argument(self.flag, choices=self.choices, default=None,
-                            help=self.help_text)
-
-    def resolve(self, value):
-        """Validate ``value`` (``None`` passes through untouched)."""
-        if value is None:
-            return None
-        self._resolve(value)  # raises on typos
-        return value
-
-    def set_default(self, value):
-        """Install the process default; returns the previous one."""
-        return self._set_default(value)
-
-    def installed(self, value):
-        """``with knob.installed(value):`` — scoped default + env.
-
-        Sets the process default *and* exports the environment
-        variable (so freshly spawned worker processes inherit the
-        choice), restoring both on exit.  ``value=None`` is a no-op,
-        letting call sites pass optional knobs through unconditionally.
-        """
-        from contextlib import contextmanager
-
-        @contextmanager
-        def _install():
-            if value is None:
-                yield
-                return
-            previous = self._set_default(value)
-            environment_before = os.environ.get(self.env)
-            os.environ[self.env] = value
-            try:
-                yield
-            finally:
-                self._set_default(previous)
-                if environment_before is None:
-                    os.environ.pop(self.env, None)
-                else:
-                    os.environ[self.env] = environment_before
-
-        return _install()
-
-
-def engine_knob():
-    """The simulation-engine knob (see :mod:`repro.sim.fastpath`)."""
-    from .sim.fastpath import ENGINE_ENV, ENGINES, resolve_engine, \
-        set_default_engine
-
-    return ExecutionKnob(
-        "engine", ENGINE_ENV, ENGINES, resolve_engine, set_default_engine,
-        help_text="execution engine (default: auto, or REPRO_ENGINE; "
-                  "results are identical, only speed differs)")
-
-
-def injector_knob():
-    """The shard-evaluator knob (see :mod:`repro.campaign.batch`)."""
-    from .campaign.batch import INJECTOR_ENV, INJECTORS, \
-        resolve_injector, set_default_injector
-
-    return ExecutionKnob(
-        "injector", INJECTOR_ENV, INJECTORS, resolve_injector,
-        set_default_injector,
-        help_text="shard evaluator (default: auto, or REPRO_INJECTOR; "
-                  "batch reproduces trial's counts exactly, only speed "
-                  "differs)")
 
 
 def preset(name):

@@ -38,14 +38,12 @@ def schedule_for_plan(plan, profile):
 
 
 def build_machine(program, config, plan=None, profile=None,
-                  energy_models=None, engine=None):
+                  energy_models=None):
     """Wire a ready-to-run :class:`Machine` for a placement.
 
     With ``plan`` (and the ``profile`` that provides home addresses), the
     machine starts with the plan's static mappings scheduled; without a
-    plan it runs everything through the cache.  ``engine`` selects the
-    execution engine (``None`` defers to the process default); either
-    engine yields byte-identical results.
+    plan it runs everything through the cache.
     """
     energy_models = energy_models or energy_models_for(config)
     schedule = None
@@ -55,4 +53,4 @@ def build_machine(program, config, plan=None, profile=None,
                 "building a machine from a plan needs the profile")
         schedule = schedule_for_plan(plan, profile)
     return Machine(program, config, energy_models=energy_models,
-                   schedule=schedule, engine=engine)
+                   schedule=schedule)

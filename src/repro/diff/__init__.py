@@ -1,10 +1,10 @@
 """Structural mapping-diff regression guard (``repro diff``).
 
 Compares two mapping/evaluation runs — committed golden snapshots,
-snapshot files, or freshly computed (workload, structure, flavor,
-engine, injector) pairs — by aligning block assignments on stable
-block names and reporting *which blocks changed region and what it
-cost*, instead of a bare digest mismatch.  See ``docs/diff.md``.
+snapshot files, or freshly computed (workload, structure, flavor)
+pairs — by aligning block assignments on stable block names and
+reporting *which blocks changed region and what it cost*, instead of
+a bare digest mismatch.  See ``docs/diff.md``.
 """
 
 from .differ import (

@@ -15,10 +15,9 @@ are the paper's named functions and data objects (plus the synthetic
 resizing, and MDA changes — which is exactly what lets a diff say
 "``Array2`` moved SEC-DED→parity" rather than "digest mismatch".
 
-Execution knobs (engine, injector) are recorded as *provenance* only:
-they are proven result-invariant elsewhere (tests/test_differential.py,
-tests/test_batch_injector.py), so two snapshots that differ only in
-provenance must diff empty — and a test pins that.
+``provenance`` is free-form context that is never diffed: two
+snapshots that differ only in provenance diff empty, and a test pins
+that.  Nothing sets it; committed snapshots carry ``{}``.
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ class MappingSnapshot:
     blocks: dict = field(default_factory=dict)  # name -> BlockPlacement
     regions: dict = field(default_factory=dict)  # name -> {size,used,...}
     metrics: dict = field(default_factory=dict)  # name -> float
-    provenance: dict = field(default_factory=dict)  # engine/injector/...
+    provenance: dict = field(default_factory=dict)  # never diffed
 
     @property
     def key(self):

@@ -11,11 +11,6 @@ recomputes every mapping at HEAD and structurally diffs it against the
 corpus; ``repro golden --update`` refreshes the corpus (guarded
 against dirty ``src/repro/`` trees so a regression cannot be silently
 re-baselined).
-
-Snapshot *computation* accepts engine and injector knobs purely as
-provenance: both are result-invariant by contract, and the
-cross-knob identity tests diff snapshots computed under every
-combination to pin that guarantee at the mapping level.
 """
 
 from __future__ import annotations
@@ -23,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 
-from ..config import injector_knob
 from ..errors import ReproError
 from ..sim.diffcheck import (
     GOLDEN_CASE_ARRAY_WORDS,
@@ -64,40 +58,29 @@ def snapshot_path(directory, workload, flavor):
 # --- computing / persisting snapshots ---------------------------------------
 
 def compute_snapshot(workload, flavor="dynamic",
-                     structure=GOLDEN_STRUCTURE, engine=None,
-                     injector=None, context=None, thresholds=None):
+                     structure=GOLDEN_STRUCTURE, context=None,
+                     thresholds=None):
     """Freshly evaluate one (workload, flavor) pair into a snapshot.
 
-    With ``context=None`` the process-wide pipeline context is used
-    when no knobs are given (profiles and plans are then computed once
-    per process); passing an engine or injector builds a *fresh*
-    context so the computation genuinely re-runs under that knob
-    instead of replaying a memoized artifact.
+    With ``context=None`` the process-wide pipeline context is used, so
+    profiles and plans are computed once per process.
     """
-    from ..pipeline import EvaluationContext, get_context
+    from ..pipeline import get_context
 
     if context is None:
-        if engine is None and injector is None:
-            context = get_context()
-        else:
-            context = EvaluationContext(engine=engine)
-    with injector_knob().installed(injector):
-        program, profile = context.resolve_workload(
-            workload, array_words=GOLDEN_CASE_ARRAY_WORDS,
-            outer_iterations=GOLDEN_CASE_OUTER_ITERATIONS,
-            profile_flavor=flavor)
-        if program is None and flavor == "static":
-            raise ReproError(
-                "workload %r has no program; static snapshots need one"
-                % workload)
-        payload = context.mapping_snapshot(profile, structure,
-                                           thresholds=thresholds)
+        context = get_context()
+    program, profile = context.resolve_workload(
+        workload, array_words=GOLDEN_CASE_ARRAY_WORDS,
+        outer_iterations=GOLDEN_CASE_OUTER_ITERATIONS,
+        profile_flavor=flavor)
+    if program is None and flavor == "static":
+        raise ReproError(
+            "workload %r has no program; static snapshots need one"
+            % workload)
+    payload = context.mapping_snapshot(profile, structure,
+                                       thresholds=thresholds)
     snapshot = MappingSnapshot.from_dict(payload)
     snapshot.workload = workload  # CLI spec, not profile.source_name
-    snapshot.provenance = {
-        "engine": engine or "default",
-        "injector": injector or "default",
-    }
     return snapshot
 
 
@@ -125,25 +108,18 @@ def write_snapshot(path, snapshot):
 
 def write_mapping_golden(directory, names=None, flavors=None,
                          context=None):
-    """Refresh the corpus in ``directory``; returns the written paths.
-
-    Committed snapshots carry no provenance (they are knob-invariant
-    by contract), so refreshing under any engine yields identical
-    bytes.
-    """
+    """Refresh the corpus in ``directory``; returns the written paths."""
     os.makedirs(directory, exist_ok=True)
     written = []
     for workload, flavor in snapshot_names(names, flavors):
         snapshot = compute_snapshot(workload, flavor, context=context)
-        snapshot.provenance = {}
         written.append(write_snapshot(
             snapshot_path(directory, workload, flavor), snapshot))
     return written
 
 
 def check_mapping_golden(directory, names=None, flavors=None,
-                         thresholds=None, context=None, engine=None,
-                         injector=None):
+                         thresholds=None, context=None):
     """Diff freshly computed mappings against the corpus in
     ``directory`` (``tests/golden/mappings`` in the committed tree).
 
@@ -152,23 +128,13 @@ def check_mapping_golden(directory, names=None, flavors=None,
     thresholds, 1 on violations, 2 when corpus entries are missing or
     unreadable.
     """
-    from ..pipeline import EvaluationContext
-
     report = DiffSetReport(thresholds=thresholds or DiffThresholds())
-    shared_context = context
-    if shared_context is None and (engine is not None
-                                   or injector is not None):
-        # One fresh context for the whole sweep, so the knob is honoured
-        # without recomputing shared profiles once per corpus entry.
-        shared_context = EvaluationContext(engine=engine)
     for workload, flavor in snapshot_names(names, flavors):
         key = "%s/%s" % (workload, flavor)
         path = snapshot_path(directory, workload, flavor)
         try:
             committed = load_snapshot(path)
-            current = compute_snapshot(
-                workload, flavor, context=shared_context, engine=engine,
-                injector=injector)
+            current = compute_snapshot(workload, flavor, context=context)
         except ReproError as error:
             report.add_problem(key, str(error))
             continue

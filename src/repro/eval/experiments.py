@@ -311,11 +311,9 @@ def _measured_vulnerability(profile, structure, trials, jobs, seed):
     directly comparable to the analytic value in the same row.  The
     interval is a pipeline artifact: deterministic in (profile,
     structure, trials, seed), so a disk-backed context replays it.
-    The key is deliberately injector-free (like the engine-free sim
-    keys): trial and batch evaluators produce identical counts, so the
-    cached interval is valid under either.  The sampler-discipline tag
-    salts the key instead — it changes when the canonical strike stream
-    changes, orphaning intervals measured under the old discipline.
+    The sampler-discipline tag salts the key: it changes when the
+    canonical strike stream changes, orphaning intervals measured under
+    the old discipline.
     """
     context = get_context()
 

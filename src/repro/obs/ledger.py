@@ -2,15 +2,17 @@
 
 Every evaluation, campaign, and service job can leave one line in a
 shared ledger file answering, after the fact, *what ran, with which
-knobs, how long, and what came out*: the content-hash job key, the
-engine/injector knobs, the sampling discipline, the repo version
+parameters, how long, and what came out*: the content-hash job key,
+the run's parameters, the sampling discipline, the repo version
 (``git describe``) and pipeline ``SCHEMA_VERSION``, wall/CPU
 durations, pipeline cache hit/miss counts, and the run's own stats
 (campaign counts, shard retries/steals, job state).
 
 The record shape is pinned by :data:`RUN_LEDGER_SCHEMA` — committed
 verbatim as ``docs/schemas/run-ledger.schema.json`` and validated on
-every append, the same discipline as the diff report schema.
+every append, the same discipline as the diff report schema.  Reads
+validate nothing, so the readers (``repro runs``, ``/v1/runs``) keep
+serving schema-1 lines, which also carried a ``knobs`` object.
 
 Determinism discipline: the ledger measures time itself through
 injectable clocks (``clock``/``perf``/``cpu``, defaulting to the
@@ -38,7 +40,7 @@ import time
 from ..errors import ReproError
 
 #: bump when the record shape changes incompatibly
-LEDGER_SCHEMA_VERSION = 1
+LEDGER_SCHEMA_VERSION = 2
 
 #: record kinds the schema admits
 RECORD_KINDS = ("evaluation", "campaign", "service-job")
@@ -48,11 +50,11 @@ RUN_LEDGER_SCHEMA = {
     "title": "repro run ledger record",
     "description": ("One line of the append-only JSONL run ledger: a "
                     "single evaluation, campaign, or service job with "
-                    "its knobs, provenance, durations, and stats."),
+                    "its parameters, provenance, durations, and stats."),
     "type": "object",
     "required": ["schema", "id", "kind", "repo", "pipeline_schema",
                  "pid", "started_at", "wall_s", "cpu_s", "status",
-                 "knobs", "cache", "params", "stats"],
+                 "cache", "params", "stats"],
     "additionalProperties": False,
     "properties": {
         "schema": {"type": "integer", "enum": [LEDGER_SCHEMA_VERSION]},
@@ -67,14 +69,6 @@ RUN_LEDGER_SCHEMA = {
         "wall_s": {"type": "number", "minimum": 0},
         "cpu_s": {"type": "number", "minimum": 0},
         "status": {"type": "string"},
-        "knobs": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "engine": {"type": ["string", "null"]},
-                "injector": {"type": ["string", "null"]},
-            },
-        },
         "cache": {
             "type": "object",
             "required": ["hits", "misses"],
@@ -177,15 +171,14 @@ def parse_since(text, now=None):
 class LedgerEntry:
     """An in-flight run opened by :meth:`RunLedger.begin`."""
 
-    __slots__ = ("run_id", "kind", "key", "knobs", "params", "sampling",
+    __slots__ = ("run_id", "kind", "key", "params", "sampling",
                  "started_at", "_t0", "_cpu0", "_cache0")
 
-    def __init__(self, run_id, kind, key, knobs, params, sampling,
-                 started_at, t0, cpu0, cache0):
+    def __init__(self, run_id, kind, key, params, sampling, started_at, t0,
+                 cpu0, cache0):
         self.run_id = run_id
         self.kind = kind
         self.key = key
-        self.knobs = knobs
         self.params = params
         self.sampling = sampling
         self.started_at = started_at
@@ -215,14 +208,12 @@ class RunLedger:
 
     # --- writing -------------------------------------------------------------
 
-    def begin(self, kind, key=None, knobs=None, params=None,
-              sampling=None):
+    def begin(self, kind, key=None, params=None, sampling=None):
         """Open a run record; returns the entry :meth:`finish` closes.
 
         ``key`` is the run's content-hash identity (job key, campaign
-        fingerprint); ``knobs`` the engine/injector choices; ``params``
-        the run's own configuration; ``sampling`` the campaign seed
-        discipline (campaigns only).
+        fingerprint); ``params`` the run's own configuration;
+        ``sampling`` the campaign seed discipline (campaigns only).
         """
         if kind not in RECORD_KINDS:
             raise LedgerError("unknown record kind %r (one of: %s)"
@@ -235,7 +226,6 @@ class RunLedger:
             run_id="r-%s" % digest[:12],
             kind=kind,
             key=key,
-            knobs=dict(knobs) if knobs else {},
             params=dict(params) if params else {},
             sampling=sampling,
             started_at=started_at,
@@ -266,8 +256,6 @@ class RunLedger:
             "wall_s": round(max(0.0, self._perf() - entry._t0), 6),
             "cpu_s": round(max(0.0, self._cpu() - entry._cpu0), 6),
             "status": status,
-            "knobs": {"engine": entry.knobs.get("engine"),
-                      "injector": entry.knobs.get("injector")},
             "cache": {
                 "hits": cache1["hits"] - entry._cache0["hits"],
                 "misses": cache1["misses"] - entry._cache0["misses"],

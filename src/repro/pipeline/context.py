@@ -70,16 +70,10 @@ class EvaluationContext:
     pipeline.  ``store`` may be None (in-memory only), a path, or an
     :class:`ArtifactStore`."""
 
-    def __init__(self, store=None, engine=None):
+    def __init__(self, store=None):
         if store is not None and not isinstance(store, ArtifactStore):
             store = ArtifactStore(store)
         self.store = store
-        #: execution engine for every simulation this context runs
-        #: (None defers to the process default).  Deliberately absent
-        #: from artifact keys: engines produce byte-identical results
-        #: (enforced by tests/test_differential.py), so artifacts are
-        #: interchangeable across engines and cache hits cross over.
-        self.engine = engine
         self.counters = PipelineCounters()
         self._memo = {}
         self._fingerprints = {}  # id(obj) -> cached content fingerprint
@@ -200,8 +194,7 @@ class EvaluationContext:
         def compute():
             self.counters.note_simulation(key)
             return profile_program(program, config=config,
-                                   max_instructions=max_instructions,
-                                   engine=self.engine)
+                                   max_instructions=max_instructions)
 
         return self.artifact("profile", parts, compute)
 
@@ -301,9 +294,7 @@ class EvaluationContext:
 
         The artifact is the plain-JSON snapshot document
         (:mod:`repro.diff.model`): every block's region assignment plus
-        the analytic metric scalars.  Keyed like an evaluation — and
-        like every artifact it is engine/injector-free, which is what
-        makes cross-knob mapping diffs meaningful.
+        the analytic metric scalars.  Keyed like an evaluation.
         """
         from ..diff.model import build_snapshot
 
@@ -372,8 +363,7 @@ class EvaluationContext:
             self.counters.note_simulation(key)
             run_config, plan, _ = self.plan(profile, structure,
                                             config=config)
-            machine = build_machine(program, run_config, plan, profile,
-                                    engine=self.engine)
+            machine = build_machine(program, run_config, plan, profile)
             run = machine.run()
             breakdown = region_surface_vulnerability(
                 plan, profile,
@@ -410,8 +400,7 @@ class EvaluationContext:
         def compute():
             self.counters.note_simulation(key)
             config, plan, _ = self.plan(profile, structure)
-            machine = build_machine(build.program, config, plan, profile,
-                                    engine=self.engine)
+            machine = build_machine(build.program, config, plan, profile)
             run = machine.run()
             verified = all(
                 int.from_bytes(machine.memory.peek_bytes(

@@ -304,20 +304,17 @@ class Profiler(EventSubscriber):
         )
 
 
-def profile_program(program, config=None, max_instructions=None,
-                    engine=None):
+def profile_program(program, config=None, max_instructions=None):
     """Run ``program`` once on the profiling platform and profile it.
 
     ``config`` defaults to the pure-SRAM baseline with an empty transfer
     schedule (every access through the cache), mirroring the paper's
-    platform-neutral static profiling step.  ``engine`` selects the
-    execution engine; profiles are engine-invariant (the profiler
-    subscribes to the event bus, which forces the fast engine into its
-    granular per-access mode), so pipeline cache keys derived from
-    profiles never encode the engine choice.
+    platform-neutral static profiling step.  The profiler subscribes to
+    the event bus, which puts the fast engine into its granular
+    per-access mode.
     """
     config = config or baseline_sram_config()
-    machine = Machine(program, config, engine=engine)
+    machine = Machine(program, config)
     profiler = Profiler(machine).attach()
     if max_instructions is None:
         machine.run()

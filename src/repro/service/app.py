@@ -37,7 +37,6 @@ from ..campaign import (
     analytic_vulnerability,
 )
 from ..campaign.seeding import SAMPLING_DISCIPLINE
-from ..config import engine_knob, injector_knob
 from ..core.priorities import OptimizationMode, thresholds_for_mode
 from ..errors import ReproError
 from ..eval.structures import STRUCTURES
@@ -79,14 +78,8 @@ _KIND_PARAMS = {
         "seed": (int, 0xF7F7),
         "shard_size": (int, DEFAULT_SHARD_SIZE),
         "retries": (int, 2),
-        "engine": (str, None),
-        "injector": (str, None),
     },
 }
-
-#: result-invariant knobs: excluded from the coalescing key, because
-#: engine/injector choices change throughput, never counts.
-_KEY_EXCLUDED = ("engine", "injector")
 
 
 def normalize_params(kind, params):
@@ -131,13 +124,6 @@ def _validate_choices(kind, params):
     flavor = params.get("profile")
     if flavor is not None and flavor not in ("dynamic", "static"):
         raise HttpError(400, "profile must be 'dynamic' or 'static'")
-    for knob in (engine_knob(), injector_knob()):
-        value = params.get(knob.name)
-        if value is not None:
-            try:
-                knob.resolve(value)
-            except ReproError as error:
-                raise HttpError(400, str(error)) from None
     for positive in ("trials", "shard_size", "array_words", "scale"):
         value = params.get(positive)
         if value is not None and value <= 0:
@@ -153,9 +139,7 @@ def job_key(kind, params):
     the canonical strike stream orphans cached measured results
     instead of replaying them.
     """
-    keyed = {name: value for name, value in params.items()
-             if name not in _KEY_EXCLUDED}
-    parts = [kind, keyed]
+    parts = [kind, params]
     if kind == "campaign":
         parts.append(SAMPLING_DISCIPLINE)
     return artifact_key("service-job", *parts)
@@ -165,9 +149,9 @@ class ReproService:
     """One server process: registry + coalescer + scheduler + HTTP."""
 
     def __init__(self, host="127.0.0.1", port=0, workers=2,
-                 job_threads=8, cache_dir=None, engine=None,
-                 injector=None, clock=None, ledger_path=None):
-        self.context = EvaluationContext(store=cache_dir, engine=engine)
+                 job_threads=8, cache_dir=None, clock=None,
+                 ledger_path=None):
+        self.context = EvaluationContext(store=cache_dir)
         # ``clock`` stamps job timestamps; inject a fake in tests to
         # pin submitted_at/finished_at in status responses.
         self.registry = JobRegistry(clock=clock)
@@ -183,8 +167,6 @@ class ReproService:
         self.coalescer = Coalescer()
         self.scheduler = ShardScheduler(workers=workers)
         self.server = HttpServer(self._handle, host=host, port=port)
-        self.engine = engine_knob().resolve(engine)
-        self.injector = injector_knob().resolve(injector)
         self._executor = ThreadPoolExecutor(
             max_workers=job_threads, thread_name_prefix="repro-job")
         self._results = {}  # key -> result (in-memory artifact tier)
@@ -392,9 +374,6 @@ class ReproService:
         if self.ledger is not None:
             entry = self.ledger.begin(
                 "service-job", key=job.key,
-                knobs={"engine": job.params.get("engine") or self.engine,
-                       "injector": (job.params.get("injector")
-                                    or self.injector)},
                 params=dict(job.params, job=job.id, job_kind=job.kind))
         with obs.span("service.job", category="service",
                       attrs={"kind": job.kind, "key": job.key[:12]}):
@@ -509,10 +488,8 @@ class ReproService:
                 throughput=round(event.throughput, 1))
 
         runner = CampaignRunner(
-            spec, max_retries=params["retries"],
-            engine=params.get("engine") or self.engine,
-            injector=params.get("injector") or self.injector,
-            progress=progress, scheduler=self.scheduler)
+            spec, max_retries=params["retries"], progress=progress,
+            scheduler=self.scheduler)
         summary = runner.run()
         interval = summary.interval("harmful")
         result = {

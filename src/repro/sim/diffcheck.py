@@ -13,6 +13,10 @@ and diffs the digests.  Error paths are part of the contract: a run that
 raises is digested with the exception's type and message, so both
 engines must fail identically too.
 
+Production always runs the fast engine.  The reference loop runs whole
+only inside :func:`reference_engine`, the one scope this harness (and
+the tests and benchmarks built on it) opens to get the oracle's answer.
+
 When a hypothesis-found divergence involves generated assembly,
 :func:`shrink_source` greedily deletes lines while the divergence
 reproduces, and :func:`assert_source_equivalent` dumps the minimized
@@ -30,9 +34,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager, nullcontext
 
 from ..errors import ReproError
+from . import machine as _machine
 from .machine import Machine
+
+#: the two engines the harness holds against each other
+ENGINES = ("reference", "fast")
 
 #: bump when the digest layout changes (golden files self-identify)
 GOLDEN_SCHEMA = 1
@@ -42,6 +51,32 @@ GOLDEN_CASE_ARRAY_WORDS = 96
 GOLDEN_CASE_OUTER_ITERATIONS = 2
 
 GOLDEN_STRUCTURE = "ftspm"
+
+
+# --- the oracle scope ---------------------------------------------------------
+
+@contextmanager
+def reference_engine():
+    """``with reference_engine():`` — every :meth:`Machine.run` inside
+    the scope retires its instructions through the reference step loop
+    instead of the fast engine.  Restores the previous setting on exit,
+    so scopes nest."""
+    previous = _machine._reference_loop
+    _machine._reference_loop = True
+    try:
+        yield
+    finally:
+        _machine._reference_loop = previous
+
+
+def engine_scope(engine):
+    """The scope that runs :data:`ENGINES` member ``engine``."""
+    if engine == "reference":
+        return reference_engine()
+    if engine == "fast":
+        return nullcontext()
+    raise ValueError("unknown engine %r (one of %s)"
+                     % (engine, "/".join(ENGINES)))
 
 
 # --- digests -----------------------------------------------------------------
@@ -134,7 +169,7 @@ def run_with_engine(program, config, engine, schedule=None,
     windows, or extra schedule state identically on both engines.
     """
     machine = Machine(program, config, energy_models=energy_models,
-                      schedule=schedule, engine=engine)
+                      schedule=schedule)
     recorder = None
     if trace:
         from ..workloads.traces import TraceRecorder
@@ -143,10 +178,11 @@ def run_with_engine(program, config, engine, schedule=None,
         setup(machine)
     error = None
     try:
-        if max_instructions is None:
-            machine.run()
-        else:
-            machine.run(max_instructions=max_instructions)
+        with engine_scope(engine):
+            if max_instructions is None:
+                machine.run()
+            else:
+                machine.run(max_instructions=max_instructions)
     except ReproError as exc:
         error = "%s: %s" % (type(exc).__name__, exc)
     digest = machine_digest(machine, error=error)
@@ -354,7 +390,7 @@ def golden_filename(name):
     return name.replace(":", "-") + ".json"
 
 
-def _golden_machine(name, engine="reference"):
+def _golden_machine(name):
     """Build the canonical machine for one corpus entry: the workload
     placed on the FTSPM structure by the MDA plan, DMA schedule and all.
     Uses the shared pipeline context so profiles/plans are computed once
@@ -372,13 +408,15 @@ def _golden_machine(name, engine="reference"):
     else:
         raise ReproError("unknown golden workload %r" % name)
     config, plan, _ = context.plan(profile, GOLDEN_STRUCTURE)
-    return build_machine(program, config, plan, profile, engine=engine)
+    return build_machine(program, config, plan, profile)
 
 
 def golden_digest(name, engine="reference"):
-    """The committed digest for one corpus entry (reference engine)."""
-    machine = _golden_machine(name, engine=engine)
-    machine.run()
+    """One corpus entry's digest under ``engine`` (the committed corpus
+    is written from the reference engine)."""
+    machine = _golden_machine(name)
+    with engine_scope(engine):
+        machine.run()
     digest = machine_digest(machine)
     digest.pop("error")
     return {
@@ -404,7 +442,8 @@ def write_golden(directory, names=None):
 
 
 def check_golden(directory, names=None, engine="reference"):
-    """Compare current behaviour against the committed corpus.
+    """Compare current behaviour under ``engine`` against the committed
+    corpus (``repro golden`` checks both :data:`ENGINES`).
 
     Returns ``{name: problem}`` — empty means every digest matches.  A
     missing or schema-mismatched file is reported as its own problem so

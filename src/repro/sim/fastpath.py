@@ -34,8 +34,11 @@ Equivalence contract: for any program, config, and schedule, running
 under this engine produces byte-identical architectural state, cycle
 counts, access-event streams, and energy ledgers to the reference
 engine — including on error paths (exceptions are raised at the same
-instruction with the same partially-updated statistics).  The contract
-is enforced by :mod:`repro.sim.diffcheck` and ``tests/test_differential``.
+instruction with the same partially-updated statistics).  Every
+:meth:`Machine.run` takes this engine; the reference loop runs whole
+only inside :func:`repro.sim.diffcheck.reference_engine`, the oracle
+scope that :mod:`repro.sim.diffcheck`, ``tests/test_differential`` and
+``repro golden`` hold the contract against.
 
 One invariant the compiled closures rely on: general-purpose registers
 always hold masked 32-bit values.  Every architectural write path masks
@@ -46,10 +49,7 @@ mask them.
 
 from __future__ import annotations
 
-import os
-
 from ..errors import (
-    ConfigurationError,
     ExecutionLimitExceeded,
     IllegalInstructionError,
 )
@@ -66,54 +66,6 @@ from .machine import EXIT_ADDRESS
 
 _BIT31 = 0x8000_0000
 _MASK33 = 0x1_FFFF_FFFF
-
-#: valid values of the engine knob
-ENGINES = ("reference", "fast", "auto")
-
-#: environment override for the process-wide default engine
-ENGINE_ENV = "REPRO_ENGINE"
-
-_default_engine = None
-
-
-def default_engine():
-    """The process-wide default engine (``auto`` unless overridden).
-
-    Honours the ``REPRO_ENGINE`` environment variable on first use; an
-    unknown value raises immediately rather than silently running the
-    wrong engine.
-    """
-    global _default_engine
-    if _default_engine is None:
-        value = os.environ.get(ENGINE_ENV, "").strip().lower() or "auto"
-        if value not in ENGINES:
-            raise ConfigurationError(
-                "%s=%r is not one of %s" % (ENGINE_ENV, value,
-                                            "/".join(ENGINES)))
-        _default_engine = value
-    return _default_engine
-
-
-def set_default_engine(name):
-    """Install a new default engine; returns the previous default."""
-    global _default_engine
-    if name not in ENGINES:
-        raise ConfigurationError(
-            "unknown engine %r (one of %s)" % (name, "/".join(ENGINES)))
-    previous = default_engine()
-    _default_engine = name
-    return previous
-
-
-def resolve_engine(choice):
-    """Normalise an engine choice (None means the process default)."""
-    if choice is None:
-        return default_engine()
-    if choice not in ENGINES:
-        raise ConfigurationError(
-            "unknown engine %r (one of %s)" % (choice, "/".join(ENGINES)))
-    return choice
-
 
 # --- basic blocks -------------------------------------------------------------
 

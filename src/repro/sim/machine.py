@@ -26,6 +26,12 @@ EXIT_ADDRESS = 0xFFFF_FFF0
 
 DEFAULT_INSTRUCTION_LIMIT = 200_000_000
 
+#: Set only by :func:`repro.sim.diffcheck.reference_engine`: while true,
+#: :meth:`Machine.run` retires every instruction through the reference
+#: step loop instead of the fast engine, so the harness can hold the
+#: two against each other.
+_reference_loop = False
+
 
 @dataclass(frozen=True)
 class TransferAction:
@@ -101,21 +107,16 @@ class RunResult:
 class Machine:
     """A complete simulated platform executing one program.
 
-    ``engine`` selects the execution engine for :meth:`run`:
-    ``"reference"`` is the per-cycle step loop below, ``"fast"`` and
-    ``"auto"`` use the predecoded basic-block engine
-    (:class:`~repro.sim.fastpath.FastEngine`), which produces
-    byte-identical results and falls back to the reference loop
-    wherever exact per-cycle interleaving matters.  ``None`` defers to
-    the process default (:func:`~repro.sim.fastpath.default_engine`,
-    i.e. ``auto`` unless ``REPRO_ENGINE`` overrides it).
+    :meth:`run` executes on the predecoded basic-block engine
+    (:class:`~repro.sim.fastpath.FastEngine`), which falls back to the
+    per-cycle :meth:`step` loop wherever exact per-cycle interleaving
+    matters.  The whole-run reference loop is the differential
+    harness's oracle (:func:`repro.sim.diffcheck.reference_engine`).
     """
 
-    def __init__(self, program, config, energy_models=None, schedule=None,
-                 engine=None):
+    def __init__(self, program, config, energy_models=None, schedule=None):
         self.program = program
         self.config = config
-        self.engine = engine
         self.memory = MemorySystem(config, energy_models)
         self.dma = DmaEngine(self.memory)
         self.schedule = schedule or TransferSchedule()
@@ -264,17 +265,17 @@ class Machine:
         attribution (forcing the fast engine into its granular mode).
         Disabled, the cost is this one flag check — nothing per event.
         """
-        from .fastpath import resolve_engine
-        engine = resolve_engine(self.engine)
+        reference = _reference_loop
         if apply_schedule:
             self.apply_static_schedule()
         cpu = self.cpu
         run_span = obs.span("sim.run", category="sim", attrs={
-            "engine": engine, "program": self.program.source_name})
+            "engine": "reference" if reference else "fast",
+            "program": self.program.source_name})
         profiler = obs.sim_profiler_for(self)
         try:
             with run_span:
-                if engine == "reference":
+                if reference:
                     while not cpu.halted:
                         if cpu.stats.instructions >= max_instructions:
                             raise ExecutionLimitExceeded(

@@ -1,9 +1,9 @@
-"""Vectorized batch injector: knob, sampler, classifier, equivalence.
+"""Vectorized batch injector: sampler, classifier, equivalence.
 
 The hard guarantees under test:
 
-* the ``trial``/``batch``/``auto`` knob mirrors the engine knob
-  (process default, ``REPRO_INJECTOR``, ``--injector``),
+* campaigns always evaluate with the batch injector, and nothing (flag,
+  argument, or environment) selects another,
 * the canonical sampler is deterministic and its clusters are
   well-formed (distinct positions inside the ``m + 2`` window),
 * the closed-form batch classifier matches the *real* codecs
@@ -24,22 +24,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.campaign.batch as batch_knob
-from repro.campaign import (
-    INJECTORS,
-    CampaignRunner,
-    CampaignSpec,
-    RunDirectory,
-    effective_injector,
-    resolve_injector,
-    set_default_injector,
-)
-from repro.campaign.batch import run_shard
+from repro.campaign import CampaignRunner, CampaignSpec, RunDirectory
 from repro.campaign.batch.classify import (
     SECDED_MAX_POSITION,
     classify_pattern,
 )
 from repro.campaign.batch.engine import BatchInjector, TrialInjector
+from repro.campaign.batch.equivalence import campaign_outcome
 from repro.campaign.batch.sampler import ShardSampler
 from repro.campaign.batch.surface import (
     PROT_NONE,
@@ -51,7 +42,7 @@ from repro.campaign.batch.surface import (
 from repro.config import Protection
 from repro.ecc import ParityCodec, SecDedCodec
 from repro.ecc.codec import ErrorClass
-from repro.errors import CampaignError, ConfigurationError
+from repro.errors import CampaignError
 from repro.faults import CampaignResult, Target
 from repro.workloads import synthetic_profile
 
@@ -78,68 +69,24 @@ def sha_spec():
         profile, "ftspm", trials=12_000, seed=0xBEEF, shard_size=4_000)
 
 
-def outcome(spec, injector):
-    total = CampaignResult()
-    for index in range(spec.shard_count):
-        total = total.merge(run_shard(spec, index, injector=injector))
-    return total
-
-
-# --- the injector knob -------------------------------------------------------
-
-def test_knob_values_mirror_engine_knob():
-    assert INJECTORS == ("trial", "batch", "auto")
-    assert batch_knob.INJECTOR_ENV == "REPRO_INJECTOR"
-
-
-def test_resolve_injector_accepts_known_and_none():
-    assert resolve_injector("trial") == "trial"
-    assert resolve_injector("batch") == "batch"
-    assert resolve_injector(None) in INJECTORS
-
-
-def test_resolve_injector_rejects_unknown():
-    with pytest.raises(ConfigurationError):
-        resolve_injector("warp")
-
-
-def test_set_default_injector_roundtrip():
-    previous = set_default_injector("trial")
-    try:
-        assert resolve_injector(None) == "trial"
-        assert effective_injector(None) == "trial"
-    finally:
-        set_default_injector(previous)
-
+# --- one production evaluator -------------------------------------------------
 
 def test_environment_default(monkeypatch):
-    monkeypatch.setattr(batch_knob, "_default_injector", None)
-    monkeypatch.setenv(batch_knob.INJECTOR_ENV, "batch")
-    assert batch_knob.default_injector() == "batch"
-    monkeypatch.setattr(batch_knob, "_default_injector", None)
-    monkeypatch.setenv(batch_knob.INJECTOR_ENV, "bogus")
-    with pytest.raises(ConfigurationError):
-        batch_knob.default_injector()
-    monkeypatch.setattr(batch_knob, "_default_injector", None)
-
-
-def test_auto_resolves_to_batch_with_numpy():
-    # numpy is importable in the test environment, so auto => batch
-    assert effective_injector("auto") == "batch"
+    """No environment variable selects the evaluator."""
+    monkeypatch.setenv("REPRO_INJECTOR", "trial")
+    assert isinstance(dense_spec().build_injector(0), BatchInjector)
 
 
 def test_build_injector_classes():
     spec = dense_spec()
-    assert isinstance(spec.build_injector(0, "trial"), TrialInjector)
-    assert isinstance(spec.build_injector(0, "batch"), BatchInjector)
-    assert isinstance(spec.build_injector(0, "auto"), BatchInjector)
-    # build_campaign is the reference discipline
-    assert isinstance(spec.build_campaign(0), TrialInjector)
+    for index in range(spec.shard_count):
+        assert isinstance(spec.build_injector(index), BatchInjector)
 
 
 def test_runner_rejects_unknown_injector():
-    with pytest.raises(ConfigurationError):
-        CampaignRunner(dense_spec(), injector="warp")
+    """The runner takes no evaluator choice at all."""
+    with pytest.raises(TypeError):
+        CampaignRunner(dense_spec(), injector="trial")
 
 
 # --- the canonical sampler ---------------------------------------------------
@@ -284,14 +231,14 @@ def test_unprotected_is_always_sdc():
 def test_batch_equals_trial_dense_surface():
     spec = dense_spec()
     for index in range(spec.shard_count):
-        trial = run_shard(spec, index, injector="trial")
-        batch = run_shard(spec, index, injector="batch")
+        trial = TrialInjector(spec, index).run()
+        batch = BatchInjector(spec, index).run()
         assert trial.to_dict() == batch.to_dict()
 
 
 def test_batch_equals_trial_on_structure_surfaces(sha_spec):
-    assert outcome(sha_spec, "trial").to_dict() == \
-        outcome(sha_spec, "batch").to_dict()
+    assert campaign_outcome(sha_spec, TrialInjector).to_dict() == \
+        campaign_outcome(sha_spec, BatchInjector).to_dict()
 
 
 @pytest.mark.parametrize("structure", ["ftspm", "baseline-sram"])
@@ -299,8 +246,8 @@ def test_batch_equals_trial_across_structures(structure):
     profile = synthetic_profile("jpeg")
     spec = CampaignSpec.from_structure(
         profile, structure, trials=8_000, seed=0xA5A5, shard_size=4_000)
-    assert outcome(spec, "trial").to_dict() == \
-        outcome(spec, "batch").to_dict()
+    assert campaign_outcome(spec, TrialInjector).to_dict() == \
+        campaign_outcome(spec, BatchInjector).to_dict()
 
 
 @settings(max_examples=12, deadline=None)
@@ -319,23 +266,16 @@ def test_batch_equals_trial_fuzzed_surfaces(seed, sizes, protections,
     total = sum(sizes) + slack
     spec = CampaignSpec(targets=targets, total_spm_bytes=total,
                         trials=4_000, seed=seed, shard_size=4_000)
-    trial = run_shard(spec, 0, injector="trial")
-    batch = run_shard(spec, 0, injector="batch")
+    trial = TrialInjector(spec, 0).run()
+    batch = BatchInjector(spec, 0).run()
     assert trial.to_dict() == batch.to_dict()
 
 
 def test_runner_injector_equivalence_and_summary(sha_spec):
-    trial = CampaignRunner(sha_spec, jobs=1, injector="trial").run()
-    batch = CampaignRunner(sha_spec, jobs=1, injector="batch").run()
-    assert trial.result.to_dict() == batch.result.to_dict()
-    assert trial.injector == "trial"
-    assert batch.injector == "batch"
-
-
-def test_runner_pool_workers_inherit_injector(sha_spec):
-    serial = CampaignRunner(sha_spec, jobs=1, injector="trial").run()
-    pooled = CampaignRunner(sha_spec, jobs=4, injector="batch").run()
-    assert serial.result.to_dict() == pooled.result.to_dict()
+    summary = CampaignRunner(sha_spec, jobs=1).run()
+    assert summary.complete
+    assert summary.result.to_dict() == \
+        campaign_outcome(sha_spec, TrialInjector).to_dict()
 
 
 def test_case_study_equivalence():
@@ -359,7 +299,7 @@ def test_golden_campaign_corpus():
 # --- by_block determinism (satellite) ---------------------------------------
 
 def test_by_block_merge_order_invariant_and_sorted(sha_spec):
-    shards = [run_shard(sha_spec, index, injector="batch")
+    shards = [BatchInjector(sha_spec, index).run()
               for index in range(sha_spec.shard_count)]
     forward = sum(shards, CampaignResult())
     backward = sum(reversed(shards), CampaignResult())
@@ -408,36 +348,26 @@ def run_cli(capsys, *argv):
 def test_cli_campaign_dry_run(capsys):
     code, out, _ = run_cli(
         capsys, "campaign", "sha", "--trials", "10000",
-        "--shard-size", "3000", "--dry-run", "--injector", "batch")
+        "--shard-size", "3000", "--dry-run")
     assert code == 0
     assert "campaign plan" in out
     assert "4 shard(s)" in out
-    assert "injector:     batch" in out
-    assert "engine:" in out
+    assert "injector:" not in out and "engine:" not in out
     assert "fault-free" in out
     assert "0x" in out  # seeds are printed
     assert "Wilson" not in out  # nothing executed
 
 
-def test_cli_campaign_injector_flag_matches(capsys):
-    args = ("campaign", "sha", "--trials", "6000", "--shard-size",
-            "2000", "--no-progress")
-    code, trial_out, _ = run_cli(capsys, *args, "--injector", "trial")
-    assert code == 0
-    code, batch_out, _ = run_cli(capsys, *args, "--injector", "batch")
-    assert code == 0
-    assert "injector:               batch" in batch_out
-
-    def counts(text):
-        return [line for line in text.splitlines()
-                if line.startswith("| ")]
-
-    assert counts(trial_out) == counts(batch_out)
-
-
-def test_cli_campaign_rejects_unknown_injector():
+def test_cli_campaign_rejects_unknown_injector(capsys):
+    """No subcommand takes an evaluator or engine choice any more."""
     from repro.cli import build_parser
 
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(
-            ["campaign", "sha", "--injector", "warp"])
+    for argv in (["campaign", "sha", "--injector", "batch"],
+                 ["inject", "sha", "--injector", "trial"],
+                 ["report", "--engine", "fast"],
+                 ["run", "kernel:crc32", "--engine", "reference"],
+                 ["diff", "--workload", "case", "--a-engine", "fast"]):
+        with pytest.raises(SystemExit) as caught:
+            build_parser().parse_args(argv)
+        assert caught.value.code == 2  # argparse usage error
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -25,6 +25,7 @@ from repro.campaign import (
     wilson_interval,
     z_value,
 )
+from repro.campaign.batch.engine import TrialInjector
 from repro.campaign.runner import FAIL_SHARDS_ENV
 from repro.config import Protection
 from repro.errors import CampaignError
@@ -227,7 +228,7 @@ def test_jobs4_identical_to_jobs1(sha_spec, sha_reference):
 def test_aggregate_equals_manual_shard_merge(sha_spec, sha_reference):
     manual = CampaignResult()
     for index in range(sha_spec.shard_count):
-        shard = sha_spec.build_campaign(index).run(
+        shard = TrialInjector(sha_spec, index).run(
             trials=sha_spec.shard_trials(index))
         manual = manual.merge(shard)
     assert canonical(manual) == canonical(sha_reference.result)
@@ -520,9 +521,15 @@ def test_cli_inject_jobs_flag(capsys):
     assert "jobs/shards" in out
 
 
-def test_cli_inject_serial_output_unchanged(capsys):
-    # the classic path must not grow new lines (backwards compatibility)
-    code, out, _ = run_cli(capsys, "inject", "sha", "--trials", "4000")
-    assert code == 0
-    assert "measured vulnerability" in out
-    assert "Wilson" not in out
+def test_cli_inject_one_answer_per_seed(capsys):
+    """``--jobs 1`` and ``--jobs 2`` run one campaign path, so a seed
+    prints the same counts and interval whatever the worker count."""
+    outputs = []
+    for jobs in ("1", "2"):
+        code, out, _ = run_cli(capsys, "inject", "sha", "--trials",
+                               "20000", "--seed", "7", "--jobs", jobs)
+        assert code == 0
+        outputs.append([line for line in out.splitlines()
+                        if not line.startswith("jobs/shards:")])
+    assert outputs[0] == outputs[1]
+    assert any(line.startswith("95% Wilson CI") for line in outputs[0])

@@ -23,7 +23,13 @@ from repro.core.online import schedule_for_plan
 from repro.pipeline.context import EvaluationContext
 from repro.pipeline.keys import profile_fingerprint
 from repro.profile.profiler import profile_program
-from repro.sim.diffcheck import assert_source_equivalent, compare_engines
+from repro.sim.diffcheck import (
+    ENGINES,
+    assert_source_equivalent,
+    compare_engines,
+    engine_scope,
+    reference_engine,
+)
 from repro.tech.nvsim_lite import energy_models_for
 from repro.workloads.kernels import kernel_names
 from repro.workloads.synthetic import mibench_names
@@ -101,21 +107,24 @@ def test_profiles_are_engine_invariant(context):
     fingerprint — which seeds every downstream artifact key — cannot
     depend on the engine."""
     build = context.kernel_build("bitcount")
-    reference = profile_program(build.program, engine="reference")
-    fast = profile_program(build.program, engine="fast")
+    with reference_engine():
+        reference = profile_program(build.program)
+    fast = profile_program(build.program)
     assert profile_fingerprint(reference) == profile_fingerprint(fast)
 
 
 def test_simulation_artifacts_and_keys_cross_engines():
-    """Two contexts pinned to different engines produce identical
+    """Two contexts run under different engines produce identical
     simulation artifacts under identical keys, so a disk store written
-    by one engine replays for the other."""
+    under the reference oracle replays for the fast engine."""
     results = {}
     keys = {}
-    for engine in ("reference", "fast"):
-        context = EvaluationContext(engine=engine)
-        program, profile = context.case_study(96, 2)
-        results[engine] = context.simulation(program, profile, "ftspm")
+    for engine in ENGINES:
+        context = EvaluationContext()
+        with engine_scope(engine):
+            program, profile = context.case_study(96, 2)
+            results[engine] = context.simulation(program, profile,
+                                                 "ftspm")
         keys[engine] = list(context.counters.simulated_keys)
     assert keys["reference"] == keys["fast"]
     assert results["reference"] == results["fast"]
@@ -123,15 +132,21 @@ def test_simulation_artifacts_and_keys_cross_engines():
 
 def test_synthetic_evaluations_are_engine_invariant():
     """MiBench-style workload models never reach a simulator, so their
-    analytic evaluations are identical whatever engine a context pins."""
+    analytic evaluations are identical whichever engine is in scope."""
     name = mibench_names()[0]
     outcomes = []
-    for engine in ("reference", "fast"):
-        context = EvaluationContext(engine=engine)
-        profile = context.synthetic_profile(name)
-        evaluation = context.evaluation(profile, "ftspm")
+    for engine in ENGINES:
+        context = EvaluationContext()
+        with engine_scope(engine):
+            profile = context.synthetic_profile(name)
+            evaluation = context.evaluation(profile, "ftspm")
         outcomes.append(dataclasses.asdict(evaluation))
     assert outcomes[0] == outcomes[1]
+
+
+def test_engine_scope_knows_only_the_two_engines():
+    with pytest.raises(ValueError):
+        engine_scope("auto")
 
 
 # --- divergence minimization -------------------------------------------------

@@ -20,6 +20,7 @@ from repro.events import (
 from repro.mem.hierarchy import AccessType, MemorySystem
 from repro.pipeline import profile_fingerprint
 from repro.profile.profiler import Profiler
+from repro.sim.diffcheck import engine_scope
 from repro.workloads.case_study import case_study_program
 from repro.workloads.traces import TraceRecorder
 
@@ -185,11 +186,11 @@ def test_subscriber_order_does_not_change_outputs():
 # --- engine invariance --------------------------------------------------------
 
 def _collect_stream(engine):
-    machine = Machine(assemble(SOURCE), baseline_sram_config(),
-                      engine=engine)
+    machine = Machine(assemble(SOURCE), baseline_sram_config())
     collector = Collector()
     machine.events.subscribe(collector)
-    machine.run()
+    with engine_scope(engine):
+        machine.run()
     return collector
 
 
@@ -215,10 +216,10 @@ def test_sim_profiler_attribution_identical_across_engines():
         config = baseline_sram_config()
         program = case_study_program(array_words=64, outer_iterations=1)
         machine = Machine(program, config,
-                          energy_models=energy_models_for(config),
-                          engine=engine)
+                          energy_models=energy_models_for(config))
         profiler = SimProfiler(program).attach(machine.events)
-        machine.run()
+        with engine_scope(engine):
+            machine.run()
         profiler.detach(machine.events)
         return profiler.report()
 

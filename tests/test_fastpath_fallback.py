@@ -16,7 +16,12 @@ from repro.config import baseline_sram_config
 from repro.pipeline.context import EvaluationContext
 from repro.core.online import schedule_for_plan
 from repro.isa import assemble
-from repro.sim.diffcheck import DiffReport, compare_engines, run_with_engine
+from repro.sim.diffcheck import (
+    DiffReport,
+    compare_engines,
+    engine_scope,
+    run_with_engine,
+)
 from repro.sim.machine import TransferAction, TransferSchedule
 from repro.mem.hierarchy import DSPM_BASE
 from repro.tech.nvsim_lite import energy_models_for
@@ -210,10 +215,10 @@ def test_sim_profiler_attribution_survives_handoffs(loop_program):
         machine = Machine(
             loop_program, config, energy_models=models,
             schedule=_buffer_schedule(loop_program, trigger_instruction=137,
-                                      unmap_at=1101),
-            engine=engine)
+                                      unmap_at=1101))
         profiler = SimProfiler(loop_program).attach(machine.events)
-        machine.run()
+        with engine_scope(engine):
+            machine.run()
         profiler.detach(machine.events)
         return profiler.report()
 

@@ -66,3 +66,30 @@ def test_digests_match_committed_corpus(engine):
         "`repro golden --update` and commit the result."
         % (engine,
            "\n".join("%s: %s" % item for item in sorted(problems.items()))))
+
+
+def test_cli_golden_checks_the_fast_engine(monkeypatch, capsys):
+    """``repro golden`` checks the corpus under the engine production
+    runs, not only the reference oracle: a planted one-cycle-per-block
+    drift in the fast engine's batched mode fails the command."""
+    from repro.cli import main
+    from repro.pipeline import EvaluationContext, using_context
+    from repro.sim.fastpath import FastEngine
+
+    argv = ["golden", "kernel:bitcount", "--dir", GOLDEN_DIR]
+    with using_context(EvaluationContext()):
+        assert main(argv) == 0
+    assert "golden corpus OK" in capsys.readouterr().out
+
+    batched = FastEngine._run_batched
+
+    def one_cycle_late(self, block):
+        batched(self, block)
+        self.stats.cycles += 1
+
+    monkeypatch.setattr(FastEngine, "_run_batched", one_cycle_late)
+    with using_context(EvaluationContext()):
+        assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "kernel:bitcount/fast: digests diverge" in out
+    assert "kernel:bitcount/reference" not in out

@@ -80,12 +80,12 @@ def test_committed_schema_file_matches_module():
 def test_every_record_kind_validates(tmp_path, kind):
     ledger = _fake_ledger(tmp_path / "ledger.jsonl")
     entry = ledger.begin(kind, key="k" * 64,
-                         knobs={"engine": "fast", "injector": "batch"},
                          params={"trials": 10},
                          sampling="pcg64-chunked-v1")
     record = ledger.finish(entry, status="ok", stats={"trials": 10})
     validate_record(record)  # what finish() already enforced
-    assert record["schema"] == LEDGER_SCHEMA_VERSION
+    assert record["schema"] == LEDGER_SCHEMA_VERSION == 2
+    assert "knobs" not in record
     assert record["kind"] == kind
     assert record["repo"] == "test-repo"
     assert record["wall_s"] > 0 and record["cpu_s"] > 0
@@ -114,7 +114,6 @@ def test_injected_clocks_make_records_byte_stable(tmp_path):
         ledger = _fake_ledger(path)
         for kind in RECORD_KINDS:
             entry = ledger.begin(kind, key="deadbeef",
-                                 knobs={"engine": "fast"},
                                  params={"trials": 7})
             ledger.finish(entry, stats={"trials": 7})
     first, second = (path.read_bytes() for path in paths)
@@ -338,8 +337,6 @@ def _seeded_cli_ledger(tmp_path):
     ids = []
     for trials in (100, 200):
         entry = ledger.begin("campaign", key="c" * 64,
-                             knobs={"engine": "fast",
-                                    "injector": "batch"},
                              params={"trials": trials},
                              sampling="pcg64-chunked-v1")
         ids.append(ledger.finish(entry,
@@ -355,8 +352,8 @@ def test_runs_show_is_byte_identical(tmp_path, capsys):
                          "--ledger", path]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
-    assert '"fast"' in outputs[0]
-    assert "knobs.engine" in outputs[0]
+    assert '"pcg64-chunked-v1"' in outputs[0]
+    assert "params.trials" in outputs[0]
 
 
 def test_runs_list_and_since(tmp_path, capsys):
@@ -378,6 +375,23 @@ def test_runs_list_and_since(tmp_path, capsys):
     assert ids[0] in table and ids[1] in table
 
 
+#: a schema-1 line as earlier releases appended it (with ``knobs``)
+V1_RECORD = {
+    "schema": 1, "id": "r-0123456789ab", "kind": "campaign",
+    "key": "c" * 64, "repo": "test-repo", "pipeline_schema": 2,
+    "sampling": "pcg64-chunked-v1", "pid": 4242,
+    "started_at": 999_000.0, "wall_s": 0.5, "cpu_s": 0.25,
+    "status": "ok", "knobs": {"engine": "fast", "injector": "batch"},
+    "cache": {"hits": 0, "misses": 0}, "params": {"trials": 300},
+    "stats": {"trials": 300},
+}
+
+
+def _append_v1_record(path):
+    with open(path, "a") as handle:
+        handle.write(json.dumps(V1_RECORD, sort_keys=True) + "\n")
+
+
 def test_runs_compare_diffs_knobs_and_stats(tmp_path, capsys):
     path, ids = _seeded_cli_ledger(tmp_path)
     assert cli.main(["runs", "compare", ids[0], ids[1],
@@ -388,7 +402,36 @@ def test_runs_compare_diffs_knobs_and_stats(tmp_path, capsys):
     assert diff["params.trials"] == {"a": 100, "b": 200, "delta": 100}
     assert diff["stats.trials"]["delta"] == 100
     # identity fields are skipped, identical fields don't appear
-    assert "id" not in diff and "knobs.engine" not in diff
+    assert "id" not in diff and "sampling" not in diff
+    # a schema-1 record's knobs show up against a record without them
+    _append_v1_record(path)
+    assert cli.main(["runs", "compare", V1_RECORD["id"], ids[0],
+                     "--ledger", path, "--json"]) == 0
+    diff = json.loads(capsys.readouterr().out)["diff"]
+    assert diff["schema"] == {"a": 1, "b": 2, "delta": 1}
+    assert diff["knobs.engine"] == {"a": "fast", "b": None}
+    assert diff["knobs.injector"] == {"a": "batch", "b": None}
+    assert diff["params.trials"]["delta"] == -200
+
+
+def test_schema_1_records_stay_readable(tmp_path, capsys):
+    """Lines written before the ``knobs`` field was dropped still list,
+    show, and serve at /v1/runs next to current records."""
+    from repro.service.app import ReproService
+
+    path, ids = _seeded_cli_ledger(tmp_path)
+    _append_v1_record(path)
+    assert cli.main(["runs", "list", "--ledger", path, "--json"]) == 0
+    listed = json.loads(capsys.readouterr().out)["runs"]
+    assert [run["id"] for run in listed] == ids + [V1_RECORD["id"]]
+    assert cli.main(["runs", "show", V1_RECORD["id"][:8],
+                     "--ledger", path]) == 0
+    shown = capsys.readouterr().out
+    assert "knobs.engine" in shown and '"batch"' in shown
+    service = ReproService(port=0, ledger_path=path)
+    status, payload = _get(service, "/v1/runs/%s" % V1_RECORD["id"])
+    assert status == 200
+    assert payload["run"] == V1_RECORD
 
 
 def test_runs_errors(tmp_path, capsys):

@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import build_static_profile
 from repro.profile import profile_program
-
-ENGINES = ("reference", "fast")
+from repro.sim.diffcheck import ENGINES, engine_scope
 
 ARRAY_WORDS = 8
 
@@ -104,7 +103,8 @@ array:
 
 def assert_brackets(program, engine):
     static = build_static_profile(program)
-    dynamic = profile_program(program, engine=engine)
+    with engine_scope(engine):
+        dynamic = profile_program(program)
     for name, measured in dynamic.blocks.items():
         bounds = static.bounds_of(name)
         assert bounds.reads.contains(measured.reads), (

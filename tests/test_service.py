@@ -212,13 +212,16 @@ def test_store_survives_restart(tmp_path):
 
 def test_submit_param_normalization_keys():
     from repro.service.app import job_key, normalize_params
+    from repro.service.http import HttpError
     base = normalize_params("campaign", dict(CAMPAIGN))
-    with_knob = normalize_params("campaign",
-                                 dict(CAMPAIGN, injector="trial"))
     reordered = normalize_params(
         "campaign", dict(reversed(list(CAMPAIGN.items()))))
-    assert job_key("campaign", base) == job_key("campaign", with_knob)
     assert job_key("campaign", base) == job_key("campaign", reordered)
+    # the evaluator and engine are not job parameters
+    for knob in ("engine", "injector"):
+        with pytest.raises(HttpError) as caught:
+            normalize_params("campaign", dict(CAMPAIGN, **{knob: "fast"}))
+        assert caught.value.status == 400
     assert (job_key("campaign", base)
             != job_key("campaign",
                        normalize_params("campaign",
