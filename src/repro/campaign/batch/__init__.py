@@ -9,16 +9,15 @@ mapping) pair) is reduced to a compact structure-of-arrays strike
 surface — region boundaries, protection codes, and ACE-window
 utilizations, per-region accounting in the spirit of ALADDIN's
 ``Scratchpad`` partitions — and every shard's trials are then sampled
-and classified in whole-array NumPy passes:
+and classified in whole-array NumPy passes, with the closed-form codec
+outcomes of :mod:`repro.faults.classify`:
 
 * :mod:`~repro.campaign.batch.surface` — the SoA strike surface and the
   golden-execution timeline (residency + ACE windows per block),
 * :mod:`~repro.campaign.batch.sampler` — the canonical per-shard draw
   discipline: strike points, ACE draws, MBU multiplicities, and
   clustered bit positions, all drawn as arrays from one seeded PCG64
-  stream,
-* :mod:`~repro.campaign.batch.classify` — closed-form vectorized codec
-  outcome classification (parity / SEC-DED correct-detect-miscorrect),
+  stream (the cluster draw is :func:`repro.faults.mbu.draw_clusters`),
 * :mod:`~repro.campaign.batch.engine` — the two shard evaluators:
   :class:`BatchInjector` (vectorized), which every campaign runs, and
   :class:`TrialInjector` (per-trial, through the *real* codecs), its

@@ -5,7 +5,7 @@ trials one by one and pushes every live strike through the *real*
 codecs in :mod:`repro.ecc` — encode a golden word, apply the flips,
 decode, classify.  :class:`BatchInjector` is the fast path: the same
 stream is classified in whole-array passes using the closed-form rules
-of :mod:`~repro.campaign.batch.classify`, with fault-free trials
+of :mod:`repro.faults.classify`, with fault-free trials
 (empty / immune / dead-window strikes) fast-forwarded by boolean masks
 instead of being visited at all.
 
@@ -24,10 +24,16 @@ import numpy as np
 from ... import obs
 from ...ecc import ParityCodec, SecDedCodec
 from ...ecc.codec import ErrorClass
+from ...faults.classify import (
+    CLASS_ORDER,
+    PROT_IMMUNE,
+    PROT_NONE,
+    PROT_PARITY,
+    classify_errors,
+)
 from ...faults.injector import CampaignResult
-from .classify import CLASS_ORDER, classify_strikes
 from .sampler import ShardSampler
-from .surface import PROT_IMMUNE, PROT_NONE, PROT_PARITY, StrikeSurface
+from .surface import StrikeSurface
 
 
 class _ShardEvaluator:
@@ -155,9 +161,9 @@ class BatchInjector(_ShardEvaluator):
                                                 & ~live))
             if not np.any(live):
                 continue  # fault-free chunk: fast-forward entirely
-            classes = classify_strikes(protection[live],
-                                       batch.multiplicity,
-                                       batch.syndrome)
+            classes = classify_errors(protection[live],
+                                      batch.multiplicity,
+                                      batch.syndrome)
             flat = batch.target[live] * class_count + classes
             per_target += np.bincount(
                 flat, minlength=target_count * class_count,

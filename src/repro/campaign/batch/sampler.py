@@ -24,11 +24,9 @@ chunk index), so trial k's strike is identical no matter which engine
 reads the stream.  Chunking is a fixed constant for the same reason:
 chunk boundaries are part of the stream's identity.
 
-The cluster model mirrors :meth:`repro.faults.MbuDistribution.
-sample_pattern` — multiplicity ``m`` flips land in a contiguous window
-of ``min(cw, m + 2)`` bits at a uniform start, positions chosen
-without replacement via the same Fisher-Yates selection ``random.
-sample`` uses, vectorized across the chunk.
+The cluster draw itself is :func:`repro.faults.mbu.draw_clusters`, the
+vectorized twin of :meth:`repro.faults.MbuDistribution.sample_pattern`
+that the Monte-Carlo ablations draw from too.
 """
 
 from __future__ import annotations
@@ -37,15 +35,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surface import PROT_IMMUNE, PROT_PARITY, _PARITY_BITS, _SECDED_BITS
+from ...faults.classify import (
+    PARITY_BITS,
+    PROT_IMMUNE,
+    PROT_PARITY,
+    SECDED_BITS,
+)
+from ...faults.mbu import draw_clusters
 
 #: trials per draw chunk; fixed because chunk boundaries are part of
 #: the sampled stream's identity (see module docstring)
 CHUNK_TRIALS = 65_536
-
-#: continuation probability of the geometric ">3" multiplicity tail,
-#: mirroring MbuDistribution.sample_multiplicity
-_TAIL_CONTINUE = 0.4
 
 
 @dataclass(frozen=True)
@@ -81,15 +81,6 @@ class ShardSampler:
         self.mbu = mbu
         self.seed = seed
         self._rng = np.random.Generator(np.random.PCG64(seed))
-        # Threshold boundaries of the multiplicity distribution: a draw
-        # in [0, t1) is 1 flip, [t1, t2) is 2, [t2, t3) is 3, else >3.
-        self._t1 = mbu.p1
-        self._t2 = mbu.p1 + mbu.p2
-        self._t3 = mbu.p1 + mbu.p2 + mbu.p3
-        # Strikes of the ">3" bucket start at 4 flips and extend through
-        # up to (max_multiplicity - 4) geometric-tail continuations.
-        self._tail_length = max(0, mbu.max_multiplicity - 4)
-        self._max_multiplicity = max(4, mbu.max_multiplicity)
 
     def sample(self, trials):
         """Yield :class:`StrikeBatch` chunks covering ``trials``."""
@@ -116,43 +107,14 @@ class ShardSampler:
                 & (ace_draws < surface.ace[target]))
         count = int(np.count_nonzero(live))
 
-        # Phase 2 — strike detail, live trials only, fixed draw order.
-        mult_draws = gen.random(count)
-        if self._tail_length:
-            tail_draws = gen.random((count, self._tail_length))
-        start_draws = gen.random(count)
-        max_m = self._max_multiplicity
-        pos_draws = gen.random((count, max_m))
+        # Phase 2 — strike detail, live trials only, fixed draw order:
+        # the clusters over each struck codeword, then the data words.
+        codeword_bits = np.where(protection[live] == PROT_PARITY,
+                                 PARITY_BITS, SECDED_BITS).astype(np.int64)
+        multiplicity, positions = draw_clusters(gen, count, codeword_bits,
+                                                self.mbu)
         data = gen.integers(0, 2 ** 64, size=count, dtype=np.uint64)
-
-        # Multiplicity: threshold the primary draw into 1/2/3/4-or-more,
-        # then extend the ">3" bucket by the number of consecutive
-        # geometric-tail successes (cumprod stops at the first failure).
-        multiplicity = (1
-                        + (mult_draws >= self._t1).astype(np.int64)
-                        + (mult_draws >= self._t2)
-                        + (mult_draws >= self._t3))
-        if self._tail_length:
-            extensions = np.cumprod(
-                tail_draws < _TAIL_CONTINUE, axis=1).sum(axis=1)
-            multiplicity = np.where(multiplicity == 4,
-                                    4 + extensions, multiplicity)
-
-        # Cluster geometry over the struck codeword.
-        codeword_bits = np.where(
-            protection[live] == PROT_PARITY,
-            _PARITY_BITS, _SECDED_BITS).astype(np.int64)
-        m_eff = np.minimum(multiplicity, codeword_bits)
-        window = np.minimum(codeword_bits, m_eff + 2)
-        start = (start_draws
-                 * (codeword_bits - window + 1)).astype(np.int64)
-
-        offsets = self._sample_positions(count, m_eff, window, pos_draws)
-        # Shift offsets to absolute bit positions, then zero the padding
-        # columns so the XOR reduction sees only real flips (bit 0
-        # contributes nothing to the syndrome).
-        live_columns = np.arange(max_m) < m_eff[:, np.newaxis]
-        positions = (offsets + start[:, np.newaxis]) * live_columns
+        # bit 0 and the zero padding contribute nothing to the syndrome
         syndrome = np.bitwise_xor.reduce(positions, axis=1)
 
         return StrikeBatch(
@@ -160,37 +122,8 @@ class ShardSampler:
             target=target,
             ace_draws=ace_draws,
             live=live,
-            multiplicity=m_eff,
+            multiplicity=multiplicity,
             positions=positions,
             syndrome=syndrome,
             data=data,
         )
-
-    def _sample_positions(self, count, m_eff, window, pos_draws):
-        """Choose ``m_eff`` distinct offsets inside each trial's window.
-
-        Vectorized Fisher-Yates selection: maintain a per-trial pool of
-        window offsets; each step picks index ``floor(u * remaining)``
-        and backfills it with the pool's last live element — the same
-        selection ``random.sample`` performs, run as ``max_multiplicity``
-        whole-array steps.
-        """
-        max_m = pos_draws.shape[1]
-        max_window = int(window.max(initial=1))
-        pool = np.broadcast_to(
-            np.arange(max_window, dtype=np.int64),
-            (count, max_window)).copy()
-        offsets = np.zeros((count, max_m), dtype=np.int64)
-        rows = np.arange(count)
-        for step in range(max_m):
-            remaining = window - step
-            # Finished rows (m_eff <= step) still need in-range indices;
-            # their picks are masked out of the result afterwards.
-            safe_remaining = np.clip(remaining, 1, None)
-            pick = np.minimum(
-                (pos_draws[:, step] * safe_remaining).astype(np.int64),
-                safe_remaining - 1)
-            offsets[:, step] = pool[rows, pick]
-            last = np.clip(remaining - 1, 0, None)
-            pool[rows, pick] = pool[rows, last]
-        return offsets

@@ -26,32 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...config import Protection
+from ...faults.classify import PROT_IMMUNE, protection_code
 
-#: protection codes used by the vectorized arrays (uint8)
-PROT_NONE = 0
-PROT_PARITY = 1
-PROT_SECDED = 2
-PROT_IMMUNE = 3
-#: sentinel for the unoccupied remainder of the SPM surface
+#: protection code of the sentinel slot for the unoccupied remainder of
+#: the SPM surface (after the codes of :mod:`repro.faults.classify`)
 PROT_EMPTY = 4
-
-_PROTECTION_CODES = {
-    Protection.NONE: PROT_NONE,
-    Protection.PARITY: PROT_PARITY,
-    Protection.SECDED: PROT_SECDED,
-    Protection.IMMUNE: PROT_IMMUNE,
-}
-
-#: codeword widths per protection code (index = protection code); the
-#: entry for non-codec protections is a placeholder wide enough for any
-#: sampled cluster, so the draw discipline stays unconditional.
-_PARITY_BITS = 33  # ParityCodec(32).codeword_bits
-_SECDED_BITS = 72  # SecDedCodec(64).codeword_bits
-
-
-def protection_code(protection):
-    """The uint8 array code of a :class:`~repro.config.Protection`."""
-    return _PROTECTION_CODES[protection]
 
 
 @dataclass(frozen=True)
@@ -109,11 +88,6 @@ class StrikeSurface:
     def target_of(self, points):
         """Vectorized point-to-target lookup (sentinel index = empty)."""
         return np.searchsorted(self.ends, points, side="right")
-
-    def codeword_bits(self):
-        """Per-target codeword width array (sentinel slot included)."""
-        return np.where(self.protection == PROT_PARITY,
-                        _PARITY_BITS, _SECDED_BITS).astype(np.int64)
 
     # --- fast-forward accounting ------------------------------------------------
 
@@ -193,8 +167,8 @@ class GoldenTimeline:
         """The block-level target list this timeline induces."""
         from ...faults.injector import Target
 
-        code_to_protection = {code: protection for protection, code
-                              in _PROTECTION_CODES.items()}
+        code_to_protection = {protection_code(protection): protection
+                              for protection in Protection}
         fractions = self.ace_fractions()
         return tuple(
             Target(name, code_to_protection[int(self.protection[i])],

@@ -1,6 +1,6 @@
 """Soft-error model: MBU statistics, AVF equations, and fault injection.
 
-Implements both halves of the paper's reliability methodology:
+Implements the paper's reliability methodology:
 
 * the **analytic AVF model** (equations (1)–(7)): per-region SDC/DUE
   probabilities from the multiplicity distribution of particle-strike
@@ -9,7 +9,12 @@ Implements both halves of the paper's reliability methodology:
 * a **Monte-Carlo injection campaign** that samples strikes, flips real
   bits in real codewords, runs the actual parity / SEC-DED decoders from
   :mod:`repro.ecc`, and classifies outcomes — cross-checking the
-  analytic numbers with measured codec behaviour.
+  analytic numbers with measured codec behaviour,
+* the **error-vector kernel** every NumPy path shares: the clustered
+  strike draw (:func:`~repro.faults.mbu.draw_clusters`) and the
+  closed-form codec outcomes of an accumulated error vector
+  (:mod:`~repro.faults.classify`), which the campaign shards, the
+  interleaving ablation and :class:`AccumulationCampaign` classify with.
 """
 
 from .mbu import MbuDistribution, StrikePattern

@@ -21,7 +21,7 @@ import json
 from dataclasses import asdict, is_dataclass
 from enum import Enum
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def canonical_json(payload):

@@ -133,9 +133,11 @@ _CONDITION_TESTS = {
 class FastEngine:
     """Basic-block execution engine bolted onto one :class:`Machine`.
 
-    Blocks and compiled closures are cached per machine (the program and
-    trigger map are fixed at machine construction), so repeated ``run``
-    calls and hot loops pay the compile cost once.
+    Blocks and compiled closures are cached per engine (the program and
+    trigger map are fixed at machine construction), so hot loops pay
+    the compile cost once.  :meth:`Machine.run` builds one engine per
+    run and does not keep it, so a finished machine is freed by
+    reference counting.
     """
 
     def __init__(self, machine):
@@ -146,7 +148,7 @@ class FastEngine:
         self.stats = self.cpu.stats
         self.memory = machine.memory
         self.events = machine.events
-        self.data_access = machine._data_access
+        self.data_access = self.cpu._data_access
         self._blocks = {}
         self._trigger_pcs = frozenset(machine._triggers)
 

@@ -87,6 +87,19 @@ class TransferSchedule:
         return self
 
 
+def _data_access_of(memory):
+    """The CPU's data port: ``(address, size, is_write, value) ->
+    (value, cycles)`` through ``memory``.  A closure over the memory
+    system rather than a bound method, so the CPU holds no reference
+    back to its machine."""
+    def data_access(address, size, is_write, value):
+        result = memory.access(address, size, is_write, value,
+                               access_type=AccessType.DATA)
+        return result.value, result.cycles
+
+    return data_access
+
+
 @dataclass
 class RunResult:
     """Outcome of one simulation run."""
@@ -124,13 +137,13 @@ class Machine:
         #: events are published on the same stream, stamped with the
         #: CPU cycle counter.
         self.events = self.memory.events
-        self.cpu = Cpu(self._data_access, events=self.events)
-        self.events.clock = lambda: self.cpu.stats.cycles
+        self.cpu = Cpu(_data_access_of(self.memory), events=self.events)
+        stats = self.cpu.stats
+        self.events.clock = lambda: stats.cycles
         self._fired_triggers = set()
         self._triggers = self.schedule.triggered_actions()
         self._timed = self.schedule.timed_actions()
         self._timed_index = 0
-        self._fastpath = None
         self._hooks = []  # sorted (instruction_count, callback) pairs
         self._exact_windows = []  # (start, end) instruction-count ranges
         self._load_program()
@@ -170,11 +183,6 @@ class Machine:
         return record
 
     # --- memory plumbing ----------------------------------------------------------
-
-    def _data_access(self, address, size, is_write, value):
-        result = self.memory.access(address, size, is_write, value,
-                                    access_type=AccessType.DATA)
-        return result.value, result.cycles
 
     def _fetch(self, address):
         result = self.memory.access(address, INSTRUCTION_BYTES, False, 0,
@@ -250,10 +258,14 @@ class Machine:
             self._perform(action)
 
     def _fast_engine(self):
-        if self._fastpath is None:
-            from .fastpath import FastEngine
-            self._fastpath = FastEngine(self)
-        return self._fastpath
+        """A fast engine for this machine, built per call.
+
+        Not cached on the machine: the engine points back at it, and
+        that cycle would keep a finished machine (and its DRAM image)
+        alive until the cycle collector happens to run.
+        """
+        from .fastpath import FastEngine
+        return FastEngine(self)
 
     def run(self, max_instructions=DEFAULT_INSTRUCTION_LIMIT,
             apply_schedule=True):

@@ -25,25 +25,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.campaign import CampaignRunner, CampaignSpec, RunDirectory
-from repro.campaign.batch.classify import (
-    SECDED_MAX_POSITION,
-    classify_pattern,
-)
 from repro.campaign.batch.engine import BatchInjector, TrialInjector
 from repro.campaign.batch.equivalence import campaign_outcome
 from repro.campaign.batch.sampler import ShardSampler
-from repro.campaign.batch.surface import (
-    PROT_NONE,
-    PROT_PARITY,
-    PROT_SECDED,
-    GoldenTimeline,
-    StrikeSurface,
-)
+from repro.campaign.batch.surface import GoldenTimeline, StrikeSurface
 from repro.config import Protection
 from repro.ecc import ParityCodec, SecDedCodec
 from repro.ecc.codec import ErrorClass
 from repro.errors import CampaignError
 from repro.faults import CampaignResult, Target
+from repro.faults.classify import (
+    PROT_NONE,
+    PROT_PARITY,
+    PROT_SECDED,
+    SECDED_MAX_POSITION,
+    classify_pattern,
+)
 from repro.workloads import synthetic_profile
 
 PARITY = ParityCodec(32)

@@ -138,6 +138,28 @@ def test_static_power_calibration():
     assert result.data["baseline-sttram"] == pytest.approx(3.0, abs=0.05)
 
 
+def test_ablation_bands_at_report_scale():
+    """Both Monte-Carlo ablations at the report's default scale
+    (25 000 trials, 8 000 words) land in their EXPERIMENTS.md bands."""
+    interleaving = run_experiment("ablation-interleaving").data
+    # non-interleaved SEC-DED reproduces the analytic 0.38 constant
+    assert interleaving[1]["harmful"] == pytest.approx(0.38, abs=0.02)
+    # each interleaving doubling strictly reduces harm
+    assert (interleaving[1]["harmful"] > interleaving[2]["harmful"]
+            > interleaving[4]["harmful"])
+    # x4 spreads clusters of <= 6 bits to <= 2 per codeword: no SDC;
+    # x8 leaves at most one flip per codeword: nothing harmful
+    assert interleaving[4]["sdc"] == 0
+    assert interleaving[8]["harmful"] == 0
+    scrubbing = run_experiment("ablation-scrubbing").data
+    secded, parity = scrubbing["SEC-DED"], scrubbing["parity"]
+    # scrubbing helps SEC-DED...
+    assert secded[64]["harmful"] < secded[1]["harmful"]
+    assert secded[64]["sdc"] < secded[1]["sdc"]
+    # ...but cannot help detection-only parity
+    assert abs(parity[64]["harmful"] - parity[1]["harmful"]) < 0.04
+
+
 @pytest.mark.slow
 def test_experiment_text_renders_for_all():
     for name in experiment_names():

@@ -1,11 +1,15 @@
 """Machine wiring: loading, schedules, run results, energy accessors."""
 
+import gc
+import weakref
+
 import pytest
 
 from conftest import read_word, register, run_source
 from repro import Machine, assemble, baseline_sram_config, ftspm_config
 from repro.mem.hierarchy import DSPM_BASE, ISPM_BASE
 from repro.sim.machine import TransferAction, TransferSchedule
+from repro.workloads.kernels import kernel_program
 
 _SOURCE = """
         .text
@@ -143,3 +147,22 @@ def test_fetches_route_to_ispm_with_code_mapping():
     machine.run()
     ispm = machine.memory.instruction_spm.devices[0]
     assert ispm.stats.reads == machine.cpu.stats.instructions
+
+
+def test_finished_machine_freed_by_reference_counting():
+    """A run machine holds no reference cycle: dropping the last
+    reference frees it (and its DRAM image) without the cycle
+    collector, so peak memory does not depend on when that runs."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        machine = Machine(kernel_program("crc32").program,
+                          baseline_sram_config())
+        result = machine.run()
+        assert result.instructions > 0
+        alive = weakref.ref(machine)
+        del machine, result
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -30,7 +30,6 @@ def test_strike_counts_scale_with_rate():
     assert high.strikes == pytest.approx(2.0 * 2000, rel=0.1)
 
 
-@pytest.mark.slow
 def test_scrubbing_reduces_secded_harm():
     unscrubbed = run(rate=1.5, epochs=1, words=3000, seed=3)
     scrubbed = run(rate=1.5, epochs=16, words=3000, seed=3)
