@@ -136,24 +136,6 @@ class ControlFlowGraph:
     call_sites: list  # [(block start, call target address)]
     entry: int
 
-    def block_order(self):
-        return sorted(self.blocks)
-
-    def block_at(self, address):
-        """The basic block containing an instruction address, or None."""
-        for start in sorted(self.blocks, reverse=True):
-            if start <= address:
-                block = self.blocks[start]
-                if address < block.end:
-                    return block
-                return None
-        return None
-
-    def function_of_block(self, block_start):
-        """Flow functions whose body contains the block."""
-        return [fn for fn in self.functions.values()
-                if block_start in fn.blocks]
-
     def reachable_addresses(self):
         """Instruction addresses covered by any flow function."""
         covered = set()

@@ -122,23 +122,6 @@ class FunctionDataflow:
     uninit_uses: list = field(default_factory=list)  # (address, register)
     unset_flag_uses: list = field(default_factory=list)  # addresses
 
-    def def_use_chains(self, cfg):
-        """Map each (address, register) definition to the uses it reaches."""
-        chains = {}
-        for start in self.function.blocks:
-            reaching = set(self.reach_in[start])
-            for address, _ in cfg.blocks[start].instructions:
-                usedef = self.use_defs[address]
-                for register in usedef.live_uses:
-                    for definition in [d for d in reaching
-                                       if d[1] == register]:
-                        chains.setdefault(definition, []).append(address)
-                for register in usedef.defs:
-                    if not usedef.conditional:
-                        reaching = {d for d in reaching if d[1] != register}
-                    reaching.add((address, register))
-        return chains
-
 
 def analyze_function(cfg, function, initialized_at_entry=None):
     """Run every dataflow pass for one flow function.

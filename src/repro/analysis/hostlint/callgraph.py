@@ -89,21 +89,6 @@ class CallSite:
     external: str = None  # dotted external name ("time.sleep"), if any
 
 
-class _ScopedVisitor(ast.NodeVisitor):
-    """Walks one function body without descending into nested defs or
-    classes (those are separate :class:`FunctionInfo`/:class:`ClassInfo`
-    records); lambdas stay inline with their enclosing function."""
-
-    def visit_FunctionDef(self, node):
-        pass
-
-    def visit_AsyncFunctionDef(self, node):
-        pass
-
-    def visit_ClassDef(self, node):
-        pass
-
-
 def walk_scope(body):
     """Yield every node in ``body`` without entering nested defs."""
     stack = list(body)

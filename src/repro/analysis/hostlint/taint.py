@@ -490,10 +490,3 @@ class _FunctionPass:
         self.analysis.source_sites.append(SourceSite(
             fn=self.fn, module=self.fn.module, node=node,
             domain=domain, dotted=dotted))
-
-
-def sorted_sink_targets(index):
-    """The resolved in-package sink qualnames (for docs/tests)."""
-    resolved = TaintAnalysis.__new__(TaintAnalysis)
-    resolved.index = index
-    return sorted(resolved._resolve_package_sinks())

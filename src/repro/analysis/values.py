@@ -373,12 +373,6 @@ class ConstantPropagation:
             state = transfer(self.domain, state, instruction)
         return None
 
-    def value_at(self, function, block_start, address, register):
-        state = self.state_at(function, block_start, address)
-        if state is None:
-            return TOP
-        return state[register]
-
     def address_regions(self, function, block_start, address, instruction):
         """Where a ``ldr/str [base, off]`` may touch.
 

@@ -1,8 +1,7 @@
 """Campaign orchestration: parallel, resumable Monte-Carlo injection.
 
-Where :class:`repro.faults.InjectionCampaign` runs trials serially in
-one process, this package scales the same measurement to statistical-
-quality trial counts:
+This package runs Monte-Carlo strike injection at statistical-quality
+trial counts:
 
 * **sharding** — the trial budget splits into fixed-size shards, each
   seeded deterministically from (campaign seed, shard index), so the

@@ -9,10 +9,9 @@ of :mod:`repro.faults.classify`, with fault-free trials
 (empty / immune / dead-window strikes) fast-forwarded by boolean masks
 instead of being visited at all.
 
-Both evaluators expose ``run(trials) -> CampaignResult`` — the same
-interface as the classic :class:`~repro.faults.InjectionCampaign` — and
-are interchangeable inside :class:`~repro.campaign.CampaignRunner`
-shards.  Same spec, same shard, same seed => identical counts, by
+Both evaluators expose ``run(trials) -> CampaignResult``.  Campaign
+shards run :class:`BatchInjector`; :class:`TrialInjector` is its
+oracle.  Same spec, same shard, same seed => identical counts, by
 construction (shared sampler) and by proof (classifier equivalence,
 locked by tests and the golden campaign corpus).
 """

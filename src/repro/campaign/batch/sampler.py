@@ -25,8 +25,7 @@ reads the stream.  Chunking is a fixed constant for the same reason:
 chunk boundaries are part of the stream's identity.
 
 The cluster draw itself is :func:`repro.faults.mbu.draw_clusters`, the
-vectorized twin of :meth:`repro.faults.MbuDistribution.sample_pattern`
-that the Monte-Carlo ablations draw from too.
+one the Monte-Carlo ablations draw from too.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ import os
 
 from ..errors import CampaignError
 from .seeding import SAMPLING_DISCIPLINE
-from .spec import CampaignSpec
 
 MANIFEST_NAME = "manifest.json"
 SHARDS_NAME = "shards.jsonl"
@@ -98,10 +97,6 @@ class RunDirectory:
             raise CampaignError(
                 "cannot read campaign manifest %r: %s"
                 % (self.manifest_path, error)) from None
-
-    def load_spec(self):
-        """Rebuild the spec a checkpoint was started with."""
-        return CampaignSpec.from_manifest(self.load_manifest()["spec"])
 
     # --- shard journal ----------------------------------------------------------
 

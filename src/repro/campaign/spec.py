@@ -66,7 +66,8 @@ class CampaignSpec:
                      trials, seed=0xF7F7, shard_size=DEFAULT_SHARD_SIZE,
                      mbu=None):
         """Block-level surface: ``(block_stats, protection)`` pairs, the
-        same input :class:`repro.faults.InjectionCampaign` takes."""
+        same input :func:`repro.faults.vulnerability_of_placement`
+        takes."""
         targets = []
         for stats, protection in entries:
             ace = (min(1.0, stats.ace_cycles / total_cycles)

@@ -54,7 +54,7 @@ class MdaResult:
     perf_overhead: float = 0.0
     energy_overhead: float = 0.0
     #: which profile drove the mapping: "dynamic" (measured), "static"
-    #: (repro.analysis estimate), "trace", or "synthetic"
+    #: (repro.analysis estimate), or "synthetic"
     profile_flavor: str = "dynamic"
 
     def log(self, step, block, action, detail=""):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 #: the one exit-code contract every report-producing CLI obeys
@@ -185,27 +185,3 @@ def emit_report(report, fmt="text", out=None, stream=None,
               file=error_stream if fmt == "json" else stream)
     exit_code = report.exit_code
     return exit_code() if callable(exit_code) else exit_code
-
-
-@dataclass
-class FindingCollector:
-    """Accumulates findings for one source; shared by lint passes."""
-
-    source: str = ""
-    findings: list = field(default_factory=list)
-
-    def add(self, rule, severity, message, span=None, snippet="", block=""):
-        finding = Finding(rule=rule, severity=severity, message=message,
-                          span=span, source=self.source, snippet=snippet,
-                          block=block)
-        self.findings.append(finding)
-        return finding
-
-    def error(self, rule, message, **kwargs):
-        return self.add(rule, Severity.ERROR, message, **kwargs)
-
-    def warning(self, rule, message, **kwargs):
-        return self.add(rule, Severity.WARNING, message, **kwargs)
-
-    def info(self, rule, message, **kwargs):
-        return self.add(rule, Severity.INFO, message, **kwargs)

@@ -97,13 +97,6 @@ class MappingSnapshot:
         return {name: placement.region
                 for name, placement in self.blocks.items()}
 
-    def placement_of(self, name):
-        try:
-            return self.blocks[name]
-        except KeyError:
-            raise ReproError(
-                "snapshot %s has no block %r" % (self.key, name)) from None
-
     # --- serialization -------------------------------------------------------
 
     def to_dict(self):

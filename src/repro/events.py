@@ -1,18 +1,14 @@
 """The access-event bus: one typed event stream for all instrumentation.
 
-Historically every consumer wired itself up differently: the profiler
-registered a memory-system observer *and* appended a CPU call listener,
-the trace recorder registered another observer with its own positional
-callback signature, and energy/ACE accounting lived inside ad-hoc hooks.
-This module replaces that with a single :class:`EventBus` carried by
+Every instrumentation consumer reads one :class:`EventBus`, carried by
 :class:`~repro.mem.hierarchy.MemorySystem` and shared by
 :class:`~repro.sim.machine.Machine`:
 
 * the memory system publishes one :class:`AccessEvent` per routed
   architectural access (fetch, read, or write),
 * the CPU publishes one :class:`CallEvent` per executed ``bl``,
-* any number of subscribers — profiler, trace recorder, energy ledger,
-  ACE tracker — receive the same stream, uniformly, in subscription
+* any number of subscribers — profiler, trace recorder, sim hot-spot
+  profiler — receive the same stream, uniformly, in subscription
   order.  Subscribers never interact, so their outputs are independent
   of subscription order (tested).
 
@@ -112,14 +108,6 @@ class EventBus:
 
     # --- publishing ---------------------------------------------------------
 
-    def now(self):
-        """The current cycle timestamp events are stamped with."""
-        return self.clock()
-
-    def publish(self, event):
-        for handler in self._subscribers:
-            handler(event)
-
     def publish_access(self, kind, address, size, device_name, cycles,
                        energy=0.0):
         """Build and publish one :class:`AccessEvent`, stamped now."""
@@ -159,55 +147,3 @@ class EventSubscriber:
 
     def on_call(self, event):
         pass
-
-
-class EnergyLedger(EventSubscriber):
-    """Bus subscriber accumulating dynamic energy and cycles per device.
-
-    The devices keep their own authoritative counters; the ledger is the
-    bus-side view of the same accounting, letting analyses aggregate
-    energy without reaching into device objects (and letting tests prove
-    the event stream carries complete energy information).
-    """
-
-    def __init__(self):
-        self.energy_by_device = {}
-        self.cycles_by_device = {}
-        self.events = 0
-
-    def on_access(self, event):
-        self.events += 1
-        name = event.device_name
-        self.energy_by_device[name] = (
-            self.energy_by_device.get(name, 0.0) + event.energy)
-        self.cycles_by_device[name] = (
-            self.cycles_by_device.get(name, 0) + event.cycles)
-
-    @property
-    def total_energy(self):
-        return sum(self.energy_by_device.values())
-
-    def energy_of(self, device_name):
-        return self.energy_by_device.get(device_name, 0.0)
-
-
-class LegacyObserverAdapter:
-    """Wraps a positional-callback observer as a bus subscriber.
-
-    Preserves the historical ``MemorySystem.add_observer`` signature —
-    ``callback(access_type, address, size, is_write, device_name,
-    cycles)`` — on top of the typed stream.  Call events are filtered
-    out, as legacy observers never saw them.
-    """
-
-    def __init__(self, callback):
-        from .mem.hierarchy import AccessType
-        self._access_type = AccessType
-        self.callback = callback
-
-    def __call__(self, event):
-        if isinstance(event, AccessEvent):
-            access_type = (self._access_type.FETCH if event.is_fetch
-                           else self._access_type.DATA)
-            self.callback(access_type, event.address, event.size,
-                          event.is_write, event.device_name, event.cycles)

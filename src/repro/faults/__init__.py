@@ -6,18 +6,18 @@ Implements the paper's reliability methodology:
   probabilities from the multiplicity distribution of particle-strike
   bit flips (Dixit & Wood's 62/25/6/7 % at 40 nm), weighted by each
   block's ACE time and area share,
-* a **Monte-Carlo injection campaign** that samples strikes, flips real
-  bits in real codewords, runs the actual parity / SEC-DED decoders from
-  :mod:`repro.ecc`, and classifies outcomes — cross-checking the
-  analytic numbers with measured codec behaviour,
-* the **error-vector kernel** every NumPy path shares: the clustered
-  strike draw (:func:`~repro.faults.mbu.draw_clusters`) and the
-  closed-form codec outcomes of an accumulated error vector
+* the **error-vector kernel** every Monte-Carlo path shares: the
+  clustered strike draw (:func:`~repro.faults.mbu.draw_clusters`) and
+  the closed-form codec outcomes of an accumulated error vector
   (:mod:`~repro.faults.classify`), which the campaign shards, the
-  interleaving ablation and :class:`AccumulationCampaign` classify with.
+  interleaving ablation and :class:`AccumulationCampaign` classify with,
+* the campaign vocabulary (:class:`Target`, :class:`CampaignResult`)
+  that :mod:`repro.campaign` shards, merges and checkpoints; its trial
+  evaluator cross-checks the closed-form outcomes against the real
+  parity / SEC-DED decoders of :mod:`repro.ecc`.
 """
 
-from .mbu import MbuDistribution, StrikePattern
+from .mbu import MbuDistribution
 from .avf import (
     RegionErrorProbabilities,
     VulnerabilityBreakdown,
@@ -25,19 +25,17 @@ from .avf import (
     region_surface_vulnerability,
     vulnerability_of_placement,
 )
-from .injector import CampaignResult, InjectionCampaign, Target
+from .injector import CampaignResult, Target
 from .scrubbing import AccumulationCampaign, AccumulationResult
 
 __all__ = [
     "MbuDistribution",
-    "StrikePattern",
     "RegionErrorProbabilities",
     "VulnerabilityBreakdown",
     "region_error_probabilities",
     "region_surface_vulnerability",
     "vulnerability_of_placement",
     "CampaignResult",
-    "InjectionCampaign",
     "Target",
     "AccumulationCampaign",
     "AccumulationResult",

@@ -1,53 +1,33 @@
-"""ACE-window tracking as an event-bus subscriber.
+"""ACE-window tracking: the AVF model's one definition of ACE time.
 
 The AVF model (equations (1)–(3)) weighs each block by its **ACE time**:
 a particle strike matters only if it lands between a write (or an
 earlier read) and the *next read* of the block — the read-gap
-accumulation.  Historically this logic lived inside the profiler's
-touch bookkeeping; :class:`AceTracker` extracts it as a standalone
-subscriber on the :class:`~repro.events.EventBus`, so the fault model
-can observe a run directly, and the profiler delegates to the same
-implementation (one definition of ACE time for both consumers).
+accumulation.  The profiler feeds :class:`AceTracker` every touch it
+attributes to a block and reads the totals into ``BlockStats``.
 """
 
 from __future__ import annotations
 
-from ..events import AccessEvent, EventSubscriber
 
-
-class AceTracker(EventSubscriber):
+class AceTracker:
     """Accumulates per-block ACE cycles from touch timestamps.
 
-    Two ways to drive it:
-
-    * as a bus subscriber — construct with ``resolver``, a callable
-      mapping an :class:`~repro.events.AccessEvent` to a block name (or
-      None to ignore), and subscribe it to a machine's bus;
-    * programmatically — call :meth:`record` with the block name, the
-      current cycle, and whether the touch is a write (the profiler's
-      path, which already knows the block).
-
-    A read ends the open vulnerability window and banks the gap since
-    the previous touch; a write (re)opens the window without banking.
-    At end-of-simulation, :meth:`finish` closes windows still opened by
-    a write: data written and never read back survives in memory until
+    The caller reports each touch with :meth:`record`: the block name,
+    the current cycle, and whether the touch is a write.  A read ends
+    the open vulnerability window and banks the gap since the previous
+    touch; a write (re)opens the window without banking.  At
+    end-of-simulation, :meth:`finish` closes windows still opened by a
+    write: data written and never read back survives in memory until
     halt, so a strike anywhere in that tail interval corrupts
     architecturally visible state.  Without the closure the last write
-    before halt would be silently dropped from :meth:`ace_of`.
+    before halt would be silently dropped from :attr:`ace_cycles`.
     """
 
-    def __init__(self, resolver=None):
-        self.resolver = resolver
+    def __init__(self):
         self.ace_cycles = {}  # block name -> accumulated ACE cycles
         self._last_touch = {}  # block name -> cycle of the latest touch
         self._open_write = {}  # block name -> last touch was a write
-
-    def on_access(self, event: AccessEvent):
-        if self.resolver is None:
-            return
-        name = self.resolver(event)
-        if name is not None:
-            self.record(name, event.at_cycle, event.is_write)
 
     def record(self, name, now, is_write):
         """Account one touch of ``name`` at cycle ``now``."""
@@ -73,12 +53,3 @@ class AceTracker(EventSubscriber):
                     self.ace_cycles.get(name, 0) + now - last)
                 self._last_touch[name] = now
             self._open_write[name] = False
-
-    def ace_of(self, name):
-        return self.ace_cycles.get(name, 0)
-
-    def ace_fraction(self, name, total_cycles):
-        """The block's ACE share of the run, clamped to [0, 1]."""
-        if total_cycles <= 0:
-            return 0.0
-        return min(1.0, self.ace_cycles.get(name, 0) / total_cycles)

@@ -1,14 +1,12 @@
-"""Monte-Carlo particle-strike injection through the real codecs.
+"""The vocabulary every fault-injection path shares.
 
-Where the analytic AVF model *assumes* each multiplicity's outcome
-(eqs. (4)–(7)), the campaign *measures* it: every trial encodes a random
-data word with the struck region's actual codec, flips a sampled
-clustered bit pattern, decodes with the real decoder, and classifies the
-result against the golden word.  Differences from the analytic model are
-real codec behaviour — e.g. a triple upset in SEC-DED is usually a
-silent miscorrection but sometimes lands outside the valid-position
-space and becomes a detected (DUE) event; odd >=3 upsets under parity
-are detected rather than silent.
+:class:`Target` is one element of a strike surface: a mapped block or a
+whole SPM region, with its protection, its size and the fraction of the
+run it holds live (ACE) data.  :class:`CampaignResult` is the outcome
+count of a campaign: strikes that needed no codec work (immune cells,
+empty space, dead data) and the classified outcomes of the rest.  The
+shard evaluators in :mod:`repro.campaign.batch.engine` return it, and
+shards merge and checkpoint through it.
 
 A trial is harmful only if it hits a resident block *and* lands inside
 that block's ACE window; strikes on STT-RAM, on empty SPM space, or on
@@ -17,15 +15,12 @@ dead data are benign, mirroring the AVF weighting.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict
 
 from ..config import Protection
-from ..ecc import ParityCodec, SecDedCodec
 from ..ecc.codec import ErrorClass
 from ..errors import FaultInjectionError
-from .mbu import MbuDistribution
 
 
 @dataclass
@@ -134,7 +129,7 @@ class CampaignResult:
 class Target:
     """One resident surface element as seen by the injector.
 
-    Either a mapped block (the classic ``avf_entries`` reading) or a
+    Either a mapped block (the block-level ``avf_entries`` reading) or a
     whole SPM region with a precomputed utilization (the region-surface
     reading of Fig. 5) — the injector only needs the four fields.
     """
@@ -143,116 +138,3 @@ class Target:
     protection: Protection
     size: int
     ace_fraction: float
-
-
-_Target = Target  # backwards-compatible alias
-
-
-class InjectionCampaign:
-    """Samples strikes over an SPM occupied by a mapping scenario."""
-
-    def __init__(self, entries, total_spm_bytes, total_cycles,
-                 mbu=None, seed=0xF7F7):
-        """``entries`` is an iterable of ``(block_stats, protection)``,
-        identical to :func:`repro.faults.avf.vulnerability_of_placement`.
-        """
-        targets = []
-        for stats, protection in entries:
-            ace = (min(1.0, stats.ace_cycles / total_cycles)
-                   if total_cycles > 0 else 0.0)
-            targets.append(Target(
-                name=stats.name,
-                protection=protection,
-                size=stats.size,
-                ace_fraction=ace,
-            ))
-        self._init_from_targets(targets, total_spm_bytes, mbu, seed)
-
-    @classmethod
-    def from_targets(cls, targets, total_spm_bytes, mbu=None, seed=0xF7F7):
-        """Build a campaign from precomputed :class:`Target` surfaces.
-
-        Used by :mod:`repro.campaign` to rebuild the injector inside
-        worker processes, and to sample the region-surface reading of
-        Fig. 5 (whole regions with precomputed utilizations) instead of
-        the block-level ``avf_entries`` reading.
-        """
-        campaign = cls.__new__(cls)
-        campaign._init_from_targets(
-            [Target(t.name, t.protection, t.size, t.ace_fraction)
-             for t in targets],
-            total_spm_bytes, mbu, seed)
-        return campaign
-
-    def _init_from_targets(self, targets, total_spm_bytes, mbu, seed):
-        if total_spm_bytes <= 0:
-            raise FaultInjectionError("total_spm_bytes must be positive")
-        occupied = sum(target.size for target in targets)
-        if occupied > total_spm_bytes:
-            raise FaultInjectionError(
-                "resident blocks (%d B) exceed the SPM surface (%d B)"
-                % (occupied, total_spm_bytes))
-        self.targets = targets
-        self.total_spm_bytes = total_spm_bytes
-        self.mbu = mbu or MbuDistribution.for_node(40)
-        self.rng = random.Random(seed)
-        self._parity = ParityCodec(32)
-        self._secded = SecDedCodec(64)
-
-    # --- one trial -------------------------------------------------------------
-
-    def _pick_target(self):
-        point = self.rng.randrange(self.total_spm_bytes)
-        cursor = 0
-        for target in self.targets:
-            cursor += target.size
-            if point < cursor:
-                return target
-        return None  # empty space
-
-    def _strike_word(self, protection):
-        """Encode a random word, strike it, decode, classify."""
-        if protection is Protection.PARITY:
-            codec = self._parity
-            data = self.rng.getrandbits(32)
-        elif protection is Protection.SECDED:
-            codec = self._secded
-            data = self.rng.getrandbits(64)
-        elif protection is Protection.NONE:
-            # Unprotected SRAM: any flip on live data is silent corruption.
-            return ErrorClass.SDC
-        else:
-            raise FaultInjectionError(
-                "cannot strike protection %r" % protection)
-        codeword = codec.encode(data)
-        pattern = self.mbu.sample_pattern(self.rng, codec.codeword_bits)
-        return codec.classify(data, pattern.apply(codeword))
-
-    def run(self, trials=100_000):
-        """Run the campaign; returns a :class:`CampaignResult`."""
-        result = CampaignResult()
-        for _ in range(trials):
-            result.trials += 1
-            target = self._pick_target()
-            if target is None:
-                result.benign_empty += 1
-                continue
-            if target.protection is Protection.IMMUNE:
-                result.benign_immune += 1
-                continue
-            if self.rng.random() >= target.ace_fraction:
-                result.benign_dead += 1
-                continue
-            outcome = self._strike_word(target.protection)
-            block_counts = result.by_block.setdefault(
-                target.name, {klass: 0 for klass in ErrorClass})
-            block_counts[outcome] += 1
-            if outcome is ErrorClass.SDC:
-                result.sdc += 1
-            elif outcome is ErrorClass.DUE:
-                result.due += 1
-            elif outcome is ErrorClass.DRE:
-                result.dre += 1
-            else:
-                result.none += 1
-        return result

@@ -7,16 +7,11 @@ bits of a multi-bit upset land in neighbouring cells — which is exactly
 why word-interleaved ECC struggles; we model the cluster as a contiguous
 window around a random start bit.
 
-:meth:`MbuDistribution.sample_pattern` draws one such cluster from a
-``random.Random``; :func:`draw_clusters` is its vectorized twin, the
-one cluster draw every NumPy path shares (campaign shards and both
-Monte-Carlo ablations).
+:func:`draw_clusters` is the one cluster draw: the campaign shards and
+both Monte-Carlo ablations sample their strikes through it.
 """
 
 from __future__ import annotations
-
-import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,19 +20,6 @@ from ..tech.params import node_params
 
 #: continuation probability of the geometric ">3" multiplicity tail
 _TAIL_CONTINUE = 0.4
-
-
-@dataclass(frozen=True)
-class StrikePattern:
-    """One sampled strike: which bit positions of a codeword flip."""
-
-    multiplicity: int
-    bit_positions: tuple
-
-    def apply(self, codeword):
-        for position in self.bit_positions:
-            codeword ^= 1 << position
-        return codeword
 
 
 class MbuDistribution:
@@ -85,44 +67,18 @@ class MbuDistribution:
             return self.p_more
         raise FaultInjectionError("threshold must be 1..4")
 
-    # --- sampling ----------------------------------------------------------------
-
-    def sample_multiplicity(self, rng):
-        value = rng.random()
-        if value < self.p1:
-            return 1
-        value -= self.p1
-        if value < self.p2:
-            return 2
-        value -= self.p2
-        if value < self.p3:
-            return 3
-        # ">3": geometric tail over 4..max_multiplicity
-        multiplicity = 4
-        while (multiplicity < self.max_multiplicity
-               and rng.random() < _TAIL_CONTINUE):
-            multiplicity += 1
-        return multiplicity
-
-    def sample_pattern(self, rng, codeword_bits):
-        """Sample a clustered strike over a ``codeword_bits``-wide word."""
-        multiplicity = self.sample_multiplicity(rng)
-        multiplicity = min(multiplicity, codeword_bits)
-        window = min(codeword_bits, multiplicity + 2)
-        start = rng.randrange(codeword_bits - window + 1)
-        positions = rng.sample(range(start, start + window), multiplicity)
-        return StrikePattern(multiplicity, tuple(sorted(positions)))
-
 
 def draw_clusters(generator, count, codeword_bits, mbu):
     """Draw ``count`` clustered strikes from a NumPy ``generator``.
 
-    The vectorized :meth:`MbuDistribution.sample_pattern`: multiplicity
-    ``m`` flips land in a contiguous window of ``min(cw, m + 2)`` bits
-    at a uniform start, positions chosen without replacement.
-    ``codeword_bits`` is a scalar or a per-strike array.  Draw order is
-    fixed, because it is part of every stream's identity:
-    multiplicity, geometric tail, window start, positions.
+    Multiplicity ``m`` follows ``mbu``: P(1), P(2), P(3) exactly, and
+    the ``>3`` bucket extends geometrically up to
+    ``mbu.max_multiplicity``.  The ``m`` flips land in a contiguous
+    window of ``min(cw, m + 2)`` bits at a uniform start, positions
+    chosen without replacement.  ``codeword_bits`` is a scalar or a
+    per-strike array.  Draw order is fixed, because it is part of every
+    stream's identity: multiplicity, geometric tail, window start,
+    positions.
 
     Returns ``(multiplicity, positions)``: int64 arrays of shape
     ``(count,)`` and ``(count, max(4, mbu.max_multiplicity))``, the
@@ -190,8 +146,3 @@ def _select_offsets(count, window, pos_draws):
         last = np.clip(remaining - 1, 0, None)
         pool[rows, pick] = pool[rows, last]
     return offsets
-
-
-def make_rng(seed):
-    """A deterministic RNG for injection campaigns."""
-    return random.Random(seed)

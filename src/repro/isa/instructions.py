@@ -100,10 +100,6 @@ class Operand:
         return self.kind is OperandKind.IMMEDIATE
 
     @property
-    def is_label(self):
-        return self.kind is OperandKind.LABEL
-
-    @property
     def is_register_list(self):
         return self.kind is OperandKind.REGISTER_LIST
 

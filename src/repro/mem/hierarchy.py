@@ -9,9 +9,8 @@ first; unmapped references go through the L1 cache to DRAM.
 
 Every routed access is published on the memory system's
 :class:`~repro.events.EventBus` as a typed
-:class:`~repro.events.AccessEvent`; the profiler, trace recorder, energy
-ledger, and ACE tracker all subscribe to that one stream.  The legacy
-``add_observer`` positional-callback API remains as a thin adapter.
+:class:`~repro.events.AccessEvent`; the profiler, trace recorder, and
+sim hot-spot profiler all subscribe to that one stream.
 
 Accesses that straddle a live mapping boundary are rejected in both
 directions: one that *starts* inside a mapping but runs past its end,
@@ -27,7 +26,7 @@ import enum
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError, MemoryAccessError
-from ..events import EventBus, EventKind, LegacyObserverAdapter
+from ..events import EventBus, EventKind
 from .cache import Cache
 from .dram import DramDevice
 from .spm import build_scratchpad
@@ -90,23 +89,6 @@ class MemorySystem:
         #: engine's per-block fetch routes) key their validity on it.
         self.remap_version = 0
         self.events = EventBus()
-        self._legacy_adapters = {}
-
-    # --- observers (legacy adapter over the event bus) ----------------------
-
-    def add_observer(self, callback):
-        """Register ``callback(access_type, home_address, size, is_write,
-        device_name, cycles)``; called on every architectural access.
-
-        Legacy API: the callback is wrapped as a subscriber on
-        :attr:`events`.  New code should subscribe to the bus directly.
-        """
-        adapter = LegacyObserverAdapter(callback)
-        self._legacy_adapters[callback] = adapter
-        self.events.subscribe(adapter)
-
-    def remove_observer(self, callback):
-        self.events.unsubscribe(self._legacy_adapters.pop(callback))
 
     # --- remapping (online phase) --------------------------------------------
 
@@ -150,9 +132,6 @@ class MemorySystem:
             if entry.home_start <= address < entry.home_end:
                 return entry
         return None
-
-    def live_remaps(self):
-        return list(self._remap_entries)
 
     def _spm_for(self, spm_address):
         if self.instruction_spm.contains(spm_address):

@@ -2,8 +2,8 @@
 
 :class:`SimProfiler` is an :class:`~repro.events.EventSubscriber` that
 rides the machine's existing access-event bus — the same stream the
-Table-I profiler and the energy ledger read — and aggregates every
-routed access into two attribution tables:
+Table-I profiler reads — and aggregates every routed access into two
+attribution tables:
 
 * **per device** (``dspm-stt``, ``l1-cache``, …): access count, cycles,
   and dynamic energy, split by event kind,
@@ -24,7 +24,6 @@ disabled cost is one flag check per run, not per event.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
 from ..events import EventSubscriber
@@ -112,23 +111,6 @@ class HotspotReport:
         }
 
 
-class _BlockIndex:
-    """Sorted-interval lookup from home address to block name."""
-
-    def __init__(self, blocks):
-        ordered = sorted(blocks, key=lambda block: block.home_start)
-        self._starts = [block.home_start for block in ordered]
-        self._blocks = ordered
-
-    def lookup(self, address):
-        index = bisect.bisect_right(self._starts, address) - 1
-        if index >= 0:
-            block = self._blocks[index]
-            if block.contains(address):
-                return block.name
-        return None
-
-
 class SimProfiler(EventSubscriber):
     """Bus subscriber aggregating per-device / per-block attribution."""
 
@@ -140,11 +122,11 @@ class SimProfiler(EventSubscriber):
         self._index = None
         self._target_index = None
         if program is not None:
-            from ..profile.blocks import enumerate_blocks
+            from ..profile.blocks import BlockIndex, enumerate_blocks
 
             blocks = enumerate_blocks(program)
-            self._index = _BlockIndex(blocks)
-            self._target_index = _BlockIndex(
+            self._index = BlockIndex(blocks)
+            self._target_index = BlockIndex(
                 [b for b in blocks if b.kind.value == "code"])
 
     # --- wiring --------------------------------------------------------------
@@ -169,7 +151,8 @@ class SimProfiler(EventSubscriber):
         self._events += 1
         for tally in (
                 self._tally(self._devices, event.device_name),
-                self._tally(self._blocks, self._block_of(event.address))):
+                self._tally(self._blocks,
+                            _name_in(self._index, event.address))):
             tally.accesses += 1
             tally.cycles += event.cycles
             tally.energy += event.energy
@@ -181,19 +164,8 @@ class SimProfiler(EventSubscriber):
                 tally.reads += 1
 
     def on_call(self, event):
-        name = None
-        if self._target_index is not None:
-            name = self._target_index.lookup(event.target)
-        if name is None:
-            name = UNATTRIBUTED
+        name = _name_in(self._target_index, event.target)
         self._calls[name] = self._calls.get(name, 0) + 1
-
-    def _block_of(self, address):
-        if self._index is not None:
-            name = self._index.lookup(address)
-            if name is not None:
-                return name
-        return UNATTRIBUTED
 
     # --- results -------------------------------------------------------------
 
@@ -202,3 +174,10 @@ class SimProfiler(EventSubscriber):
                              blocks=dict(self._blocks),
                              calls=dict(self._calls),
                              events=self._events)
+
+
+def _name_in(index, address):
+    """The name of the block of ``index`` holding ``address``, or
+    :data:`UNATTRIBUTED` (also when there is no program to index)."""
+    block = index.lookup(address) if index is not None else None
+    return block.name if block is not None else UNATTRIBUTED

@@ -17,7 +17,6 @@ from .blocks import BlockKind, ProgramBlock, enumerate_blocks, STACK_BLOCK_NAME
 from .bounds import BlockAccessBounds, CountBounds, StaticProfile
 from .profiler import BlockStats, Profile, Profiler, profile_program
 from .report import format_profile_table
-from .trace_profile import profile_from_trace
 
 __all__ = [
     "BlockKind",
@@ -31,6 +30,5 @@ __all__ = [
     "Profiler",
     "StaticProfile",
     "profile_program",
-    "profile_from_trace",
     "format_profile_table",
 ]

@@ -8,6 +8,7 @@ covering the stack address window.
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass
 
@@ -44,6 +45,24 @@ class ProgramBlock:
 
     def contains(self, address):
         return self.home_start <= address < self.home_end
+
+
+class BlockIndex:
+    """Sorted-interval lookup from home address to :class:`ProgramBlock`."""
+
+    def __init__(self, blocks):
+        ordered = sorted(blocks, key=lambda block: block.home_start)
+        self._starts = [block.home_start for block in ordered]
+        self._blocks = ordered
+
+    def lookup(self, address):
+        """The block containing ``address``, or None."""
+        index = bisect.bisect_right(self._starts, address) - 1
+        if index >= 0:
+            block = self._blocks[index]
+            if block.contains(address):
+                return block
+        return None
 
 
 def enumerate_blocks(program, include_stack=True, stack_size=None):

@@ -25,7 +25,6 @@ and orderings are what the mapping algorithm consumes).
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 from ..config import baseline_sram_config
@@ -33,7 +32,13 @@ from ..errors import ProfileError
 from ..events import AccessEvent, CallEvent, EventSubscriber
 from ..faults.ace import AceTracker
 from ..sim.machine import Machine
-from .blocks import BlockKind, ProgramBlock, STACK_BLOCK_NAME, enumerate_blocks
+from .blocks import (
+    BlockIndex,
+    BlockKind,
+    ProgramBlock,
+    STACK_BLOCK_NAME,
+    enumerate_blocks,
+)
 
 
 @dataclass
@@ -96,23 +101,6 @@ class BlockStats:
         return self.accesses * self.life_time
 
 
-class _IntervalIndex:
-    """Sorted-interval lookup from address to block."""
-
-    def __init__(self, blocks):
-        ordered = sorted(blocks, key=lambda block: block.home_start)
-        self._starts = [block.home_start for block in ordered]
-        self._blocks = ordered
-
-    def lookup(self, address):
-        index = bisect.bisect_right(self._starts, address) - 1
-        if index >= 0:
-            block = self._blocks[index]
-            if block.contains(address):
-                return block
-        return None
-
-
 @dataclass
 class Profile:
     """The profiling phase's output, consumed by the mapping algorithm."""
@@ -123,7 +111,7 @@ class Profile:
     total_instructions: int = 0
     source_name: str = ""
     #: provenance of the numbers: "dynamic" (simulation), "static"
-    #: (repro.analysis estimator), "trace", or "synthetic".  MDA treats
+    #: (repro.analysis estimator), or "synthetic".  MDA treats
     #: every flavor identically; pipeline cache keys include it so a
     #: static estimate never aliases a measured profile.
     flavor: str = "dynamic"
@@ -163,9 +151,9 @@ class Profiler(EventSubscriber):
         program = machine.program
         blocks = enumerate_blocks(program, include_stack=include_stack)
         self._stats = {block.name: BlockStats(block) for block in blocks}
-        self._code_index = _IntervalIndex(
+        self._code_index = BlockIndex(
             [b for b in blocks if b.kind is BlockKind.CODE])
-        self._data_index = _IntervalIndex(
+        self._data_index = BlockIndex(
             [b for b in blocks if b.kind.is_data_like])
         self._current_code = None
         self._current_data = None

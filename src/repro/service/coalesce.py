@@ -48,11 +48,3 @@ class Coalescer:
         with self._lock:
             if self._leaders.get(key) == job_id:
                 del self._leaders[key]
-
-    def leader_of(self, key):
-        with self._lock:
-            return self._leaders.get(key)
-
-    def inflight_keys(self):
-        with self._lock:
-            return list(self._leaders)

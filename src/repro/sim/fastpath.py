@@ -22,7 +22,7 @@ per-cycle overhead:
   subscribers — exactly the accesses the reference engine would publish
   to nobody — and switches to a **granular** per-instruction mode (same
   closures, exact ``at_cycle`` stamps) the moment a profiler, trace
-  recorder, or energy ledger subscribes,
+  recorder, or sim hot-spot profiler subscribes,
 * the engine **falls back to the reference step loop** whenever exact
   per-cycle interleaving matters: around instruction-count (timed) DMA
   triggers, registered instruction hooks, declared exact windows (see
@@ -32,9 +32,9 @@ per-cycle overhead:
 
 Equivalence contract: for any program, config, and schedule, running
 under this engine produces byte-identical architectural state, cycle
-counts, access-event streams, and energy ledgers to the reference
-engine — including on error paths (exceptions are raised at the same
-instruction with the same partially-updated statistics).  Every
+counts, access-event streams, and per-device energy totals to the
+reference engine — including on error paths (exceptions are raised at
+the same instruction with the same partially-updated statistics).  Every
 :meth:`Machine.run` takes this engine; the reference loop runs whole
 only inside :func:`repro.sim.diffcheck.reference_engine`, the oracle
 scope that :mod:`repro.sim.diffcheck`, ``tests/test_differential`` and

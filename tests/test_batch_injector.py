@@ -28,7 +28,7 @@ from repro.campaign import CampaignRunner, CampaignSpec, RunDirectory
 from repro.campaign.batch.engine import BatchInjector, TrialInjector
 from repro.campaign.batch.equivalence import campaign_outcome
 from repro.campaign.batch.sampler import ShardSampler
-from repro.campaign.batch.surface import GoldenTimeline, StrikeSurface
+from repro.campaign.batch.surface import StrikeSurface
 from repro.config import Protection
 from repro.ecc import ParityCodec, SecDedCodec
 from repro.ecc.codec import ErrorClass
@@ -134,22 +134,6 @@ def test_surface_fault_free_fraction():
     # fault-free by definition, empty space too)
     expected = 1.0 - (2048 * 0.5 + 2048 * 0.6 + 1024 * 0.3) / 16384
     assert surface.fault_free_fraction() == pytest.approx(expected)
-
-
-def test_golden_timeline_roundtrip():
-    profile = synthetic_profile("sha")
-    from repro.pipeline import get_context
-
-    _, plan, _ = get_context().plan(profile, "ftspm")
-    timeline = GoldenTimeline.from_profile(profile, plan)
-    assert timeline.total_cycles == profile.total_cycles
-    assert len(timeline.names) == len(plan.avf_entries(profile))
-    fractions = timeline.ace_fractions()
-    assert np.all(fractions >= 0.0) and np.all(fractions <= 1.0)
-    assert np.all(timeline.residency_fractions() <= 1.0)
-    surface = timeline.to_surface(plan.total_spm_bytes())
-    assert surface.occupied_bytes <= surface.total_spm_bytes
-    assert set(surface.names) == set(timeline.names)
 
 
 # --- codec-equivalence property tests ---------------------------------------

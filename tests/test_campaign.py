@@ -29,7 +29,7 @@ from repro.campaign.batch.engine import TrialInjector
 from repro.campaign.runner import FAIL_SHARDS_ENV
 from repro.config import Protection
 from repro.errors import CampaignError
-from repro.faults import CampaignResult, InjectionCampaign, Target
+from repro.faults import CampaignResult, Target
 from repro.ecc.codec import ErrorClass
 from repro.workloads import synthetic_profile
 
@@ -204,13 +204,22 @@ def test_spec_from_entries_matches_injector(sha_profile):
     from repro.eval.structures import plan_for_structure
     _, plan, _ = plan_for_structure(sha_profile, "ftspm")
     entries = plan.avf_entries(sha_profile)
+    total = sha_profile.total_cycles
     spec = CampaignSpec.from_entries(
-        entries, plan.total_spm_bytes(), sha_profile.total_cycles,
-        trials=1000)
-    reference = InjectionCampaign(
-        entries, plan.total_spm_bytes(), sha_profile.total_cycles)
-    assert list(spec.targets) == list(reference.targets)
-    assert spec.total_spm_bytes == plan.total_spm_bytes()
+        entries, plan.total_spm_bytes(), total, trials=1000)
+    # one target per mapped block: its region's protection, its size,
+    # and its ACE cycles as a share of the run
+    assert total == 4_059_999
+    assert spec.targets == (
+        Target("sha_transform", Protection.IMMUNE, 2048, 1_055_599 / total),
+        Target("sha_update", Protection.IMMUNE, 512, 649_599 / total),
+        Target("message_buffer", Protection.IMMUNE, 10240,
+               1_217_999 / total),
+        Target("digest_state", Protection.PARITY, 64, 487_199 / total),
+        Target("w_schedule", Protection.SECDED, 320, 1_014_999 / total),
+        Target("Stack", Protection.PARITY, 512, 243_599 / total),
+    )
+    assert spec.total_spm_bytes == plan.total_spm_bytes() == 32 * 1024
 
 
 # --- runner determinism ------------------------------------------------------

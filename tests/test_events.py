@@ -1,23 +1,22 @@
-"""The access-event bus: dispatch, legacy adapters, order invariance.
+"""The access-event bus: dispatch and order invariance.
 
 The contract under test: one simulation pass publishes one typed stream
-that every consumer (profiler, trace recorder, energy ledger, ACE
-tracker) reads uniformly, and no consumer's output depends on where in
-the subscription order it sits.
+that every consumer (profiler, trace recorder, sim hot-spot profiler)
+reads uniformly, and no consumer's output depends on where in the
+subscription order it sits.
 """
 
 import pytest
 
-from repro import Machine, assemble, baseline_sram_config, ftspm_config
+from repro import Machine, assemble, baseline_sram_config
 from repro.events import (
     AccessEvent,
     CallEvent,
-    EnergyLedger,
     EventBus,
     EventKind,
     EventSubscriber,
 )
-from repro.mem.hierarchy import AccessType, MemorySystem
+from repro.obs.simprofile import SimProfiler
 from repro.pipeline import profile_fingerprint
 from repro.profile.profiler import Profiler
 from repro.sim.diffcheck import engine_scope
@@ -118,32 +117,20 @@ def test_energy_ledger_matches_device_accounting():
     from repro.tech.nvsim_lite import energy_models_for
 
     config = baseline_sram_config()
-    machine = Machine(assemble(SOURCE), config,
+    program = assemble(SOURCE)
+    machine = Machine(program, config,
                       energy_models=energy_models_for(config))
-    ledger = EnergyLedger()
-    machine.events.subscribe(ledger)
+    profiler = SimProfiler(program).attach(machine.events)
     machine.run()
-    assert ledger.events > 0
-    assert ledger.total_energy > 0
+    report = profiler.report()
+    assert report.events > 0
+    cache = report.devices["l1-cache"]
+    assert cache.energy > 0
     # the bus-side view agrees with the device's own per-access counters
     # (line-fill traffic is charged to DRAM, not to cache access events)
-    assert ledger.energy_of("l1-cache") == pytest.approx(
-        machine.memory.cache.stats.accesses_stats.dynamic_energy)
-
-
-def test_legacy_observer_signature_preserved():
-    memory = MemorySystem(ftspm_config())
-    seen = []
-
-    def observer(access_type, address, size, is_write, device_name, cycles):
-        seen.append((access_type, address, size, is_write, device_name))
-
-    memory.add_observer(observer)
-    memory.access(0x1000, 4, True, access_type=AccessType.DATA)
-    assert seen == [(AccessType.DATA, 0x1000, 4, True, "l1-cache")]
-    memory.remove_observer(observer)
-    memory.access(0x1000, 4, False)
-    assert len(seen) == 1
+    counters = machine.memory.cache.stats.accesses_stats
+    assert cache.energy == pytest.approx(counters.dynamic_energy)
+    assert cache.accesses == counters.accesses
 
 
 # --- order invariance ---------------------------------------------------------
@@ -154,29 +141,31 @@ def _run_instrumented(order):
     machine = Machine(program, baseline_sram_config())
     profiler = Profiler(machine)
     recorder = TraceRecorder(machine)
-    ledger = EnergyLedger()
+    hotspots = SimProfiler(program)
     subscribers = {"profiler": profiler.attach,
                    "recorder": recorder.attach,
-                   "ledger": lambda: machine.events.subscribe(ledger)}
+                   "hotspots": lambda: hotspots.attach(machine.events)}
     for name in order:
         subscribers[name]()
     machine.run()
     profile = profiler.finish()
-    return profile, recorder.detach(), ledger
+    return profile, recorder.detach(), hotspots.report()
 
 
 def test_subscriber_order_does_not_change_outputs():
     from repro.eval.structures import evaluate_structure
 
     results = [_run_instrumented(order) for order in
-               (("profiler", "recorder", "ledger"),
-                ("ledger", "recorder", "profiler"),
-                ("recorder", "ledger", "profiler"))]
+               (("profiler", "recorder", "hotspots"),
+                ("hotspots", "recorder", "profiler"),
+                ("recorder", "hotspots", "profiler"))]
     profiles = [profile for profile, _, _ in results]
     fingerprints = {profile_fingerprint(p) for p in profiles}
     assert len(fingerprints) == 1  # identical profiles, incl. ACE cycles
     assert len({t.dumps() for _, t, _ in results}) == 1  # identical traces
-    assert len({l.total_energy for _, _, l in results}) == 1
+    reports = [report for _, _, report in results]
+    assert all(r.devices == reports[0].devices for r in reports)
+    assert all(r.blocks == reports[0].blocks for r in reports)
     # and the AVF pipeline downstream of the profile agrees too
     vulnerabilities = {
         evaluate_structure(p, "ftspm").vulnerability for p in profiles}
@@ -209,7 +198,6 @@ def test_sim_profiler_attribution_identical_across_engines():
     """The obs hot-spot subscriber aggregates to the same table under
     both engines — cycle, energy, and access attribution per device and
     per program block all agree."""
-    from repro.obs.simprofile import SimProfiler
     from repro.tech.nvsim_lite import energy_models_for
 
     def profile_with(engine):

@@ -1,16 +1,17 @@
 """Fault model: MBU distribution, AVF equations, injection campaign."""
 
+import numpy as np
 import pytest
 
+from repro.campaign import CampaignRunner, CampaignSpec
 from repro.config import Protection
 from repro.errors import FaultInjectionError
 from repro.faults import (
-    InjectionCampaign,
     MbuDistribution,
     region_error_probabilities,
     vulnerability_of_placement,
 )
-from repro.faults.mbu import make_rng
+from repro.faults.mbu import draw_clusters
 from repro.profile.blocks import BlockKind, ProgramBlock
 from repro.profile.profiler import BlockStats
 
@@ -61,35 +62,18 @@ def test_probabilities_must_be_non_negative():
 
 
 def test_sampled_multiplicity_matches_distribution(mbu):
-    rng = make_rng(42)
-    counts = {}
+    """The cluster draw every campaign shard and ablation uses follows
+    Dixit & Wood's 62/25/6/7 % multiplicity law."""
     trials = 50_000
-    for _ in range(trials):
-        m = mbu.sample_multiplicity(rng)
-        counts[m] = counts.get(m, 0) + 1
-    assert counts[1] / trials == pytest.approx(0.62, abs=0.01)
-    assert counts[2] / trials == pytest.approx(0.25, abs=0.01)
-    assert counts[3] / trials == pytest.approx(0.06, abs=0.01)
-    more = sum(v for k, v in counts.items() if k > 3) / trials
-    assert more == pytest.approx(0.07, abs=0.01)
-
-
-def test_sampled_patterns_are_clustered(mbu):
-    rng = make_rng(7)
-    for _ in range(500):
-        pattern = mbu.sample_pattern(rng, 72)
-        positions = pattern.bit_positions
-        assert len(positions) == pattern.multiplicity
-        assert all(0 <= p < 72 for p in positions)
-        if len(positions) > 1:
-            assert max(positions) - min(positions) <= pattern.multiplicity + 1
-
-
-def test_pattern_apply_flips_bits(mbu):
-    from repro.faults import StrikePattern
-    pattern = StrikePattern(2, (0, 3))
-    assert pattern.apply(0) == 0b1001
-    assert pattern.apply(0b1001) == 0
+    multiplicity, _ = draw_clusters(
+        np.random.Generator(np.random.PCG64(42)), trials, 72, mbu)
+    assert np.mean(multiplicity == 1) == pytest.approx(0.62, abs=0.01)
+    assert np.mean(multiplicity == 2) == pytest.approx(0.25, abs=0.01)
+    assert np.mean(multiplicity == 3) == pytest.approx(0.06, abs=0.01)
+    assert np.mean(multiplicity > 3) == pytest.approx(0.07, abs=0.01)
+    # the ">3" bucket extends geometrically: P(m >= 5 | m >= 4) = 0.4
+    tail = multiplicity[multiplicity >= 4]
+    assert np.mean(tail >= 5) == pytest.approx(0.40, abs=0.02)
 
 
 # --- equations (4)-(7) -----------------------------------------------------------
@@ -164,18 +148,22 @@ def test_total_spm_bytes_must_be_positive(mbu):
 
 # --- Monte-Carlo injection ------------------------------------------------------------
 
-def make_campaign(mbu, seed=1):
-    entries = [
-        (block_stats("ecc-block", 2048, 60), Protection.SECDED),
-        (block_stats("parity-block", 2048, 30), Protection.PARITY),
-        (block_stats("stt-block", 12288, 100), Protection.IMMUNE),
-    ]
-    return InjectionCampaign(entries, total_spm_bytes=16 * 1024,
-                             total_cycles=100, mbu=mbu, seed=seed)
+ENTRIES = (
+    (block_stats("ecc-block", 2048, 60), Protection.SECDED),
+    (block_stats("parity-block", 2048, 30), Protection.PARITY),
+    (block_stats("stt-block", 12288, 100), Protection.IMMUNE),
+)
+
+
+def run_campaign(mbu, trials, seed=1, entries=ENTRIES):
+    spec = CampaignSpec.from_entries(
+        entries, total_spm_bytes=16 * 1024, total_cycles=100,
+        trials=trials, seed=seed, mbu=mbu)
+    return CampaignRunner(spec).run().result
 
 
 def test_campaign_counts_sum(mbu):
-    result = make_campaign(mbu).run(trials=5000)
+    result = run_campaign(mbu, trials=5000)
     total = (result.benign_immune + result.benign_empty
              + result.benign_dead + result.none + result.dre
              + result.due + result.sdc)
@@ -183,33 +171,27 @@ def test_campaign_counts_sum(mbu):
 
 
 def test_campaign_sttram_strikes_are_benign(mbu):
-    result = make_campaign(mbu).run(trials=5000)
+    result = run_campaign(mbu, trials=5000)
     assert result.benign_immune > 0
     assert "stt-block" not in result.by_block
 
 
 def test_campaign_matches_analytic_vulnerability(mbu):
-    """Monte-Carlo through real codecs lands near equations (1)-(7).
+    """Monte-Carlo codec outcomes land near equations (1)-(7).
 
     The deviation is the real codec behaviour the analytic model rounds
     off (odd >=3 parity upsets are detected, some SEC-DED triples become
     DUE instead of SDC), so the tolerance is loose but the magnitude and
     ordering must agree.
     """
-    entries = [
-        (block_stats("ecc-block", 2048, 60), Protection.SECDED),
-        (block_stats("parity-block", 2048, 30), Protection.PARITY),
-        (block_stats("stt-block", 12288, 100), Protection.IMMUNE),
-    ]
-    analytic = vulnerability_of_placement(entries, 16 * 1024, 100, mbu=mbu)
-    campaign = InjectionCampaign(entries, 16 * 1024, 100, mbu=mbu, seed=3)
-    measured = campaign.run(trials=120_000)
+    analytic = vulnerability_of_placement(ENTRIES, 16 * 1024, 100, mbu=mbu)
+    measured = run_campaign(mbu, trials=120_000, seed=3)
     assert measured.vulnerability == pytest.approx(
         analytic.vulnerability, rel=0.25)
 
 
 def test_campaign_dre_only_from_ecc(mbu):
-    result = make_campaign(mbu).run(trials=20_000)
+    result = run_campaign(mbu, trials=20_000)
     from repro.ecc.codec import ErrorClass
     parity_counts = result.by_block.get("parity-block")
     if parity_counts is not None:
@@ -218,8 +200,8 @@ def test_campaign_dre_only_from_ecc(mbu):
 
 
 def test_campaign_deterministic_with_seed(mbu):
-    first = make_campaign(mbu, seed=9).run(trials=3000)
-    second = make_campaign(mbu, seed=9).run(trials=3000)
+    first = run_campaign(mbu, trials=3000, seed=9)
+    second = run_campaign(mbu, trials=3000, seed=9)
     assert first.sdc == second.sdc
     assert first.due == second.due
 
@@ -227,9 +209,9 @@ def test_campaign_deterministic_with_seed(mbu):
 def test_campaign_rejects_overflowing_blocks(mbu):
     entries = [(block_stats("big", 64 * 1024, 10), Protection.SECDED)]
     with pytest.raises(FaultInjectionError):
-        InjectionCampaign(entries, 16 * 1024, 100, mbu=mbu)
+        run_campaign(mbu, trials=100, entries=entries)
 
 
 def test_campaign_rate_helper(mbu):
-    result = make_campaign(mbu).run(trials=1000)
+    result = run_campaign(mbu, trials=1000)
     assert result.rate("sdc") == result.sdc / 1000

@@ -9,10 +9,10 @@ the measured values next to the paper's.
 
 import pytest
 
+from repro.campaign import CampaignRunner, CampaignSpec
 from repro.core.online import build_machine
 from repro.eval import run_experiment
 from repro.eval.structures import STRUCTURES, evaluate_structure
-from repro.faults.injector import InjectionCampaign
 from repro.workloads import mibench_names, synthetic_profile
 
 _SMALL = dict(array_words=96, outer_iterations=2)
@@ -96,30 +96,33 @@ def test_claim_case_not_slower(case_scalars):
 
 # --- cross-check: Monte-Carlo injection vs analytic AVF ----------------------------
 
+def _campaign(profile, structure, trials, seed):
+    """Inject through the shipped campaign path (batch evaluator) over
+    the structure's block-level surface."""
+    plan = evaluate_structure(profile, structure).plan
+    spec = CampaignSpec.from_entries(
+        plan.avf_entries(profile), plan.total_spm_bytes(),
+        profile.total_cycles, trials=trials, seed=seed)
+    return CampaignRunner(spec).run()
+
+
 def test_injection_confirms_structure_ordering():
     """Measured (codec-level) vulnerability must preserve the ordering
-    the analytic model reports: FTSPM well below the SRAM baseline."""
+    the analytic model reports: FTSPM well below the SRAM baseline,
+    with the two 95% Wilson intervals disjoint."""
     profile = synthetic_profile("susan")
-    results = {}
-    for structure in ("ftspm", "baseline-sram"):
-        evaluation = evaluate_structure(profile, structure)
-        campaign = InjectionCampaign(
-            evaluation.plan.avf_entries(profile),
-            evaluation.plan.total_spm_bytes(),
-            profile.total_cycles, seed=99)
-        results[structure] = campaign.run(trials=60_000).vulnerability
-    assert results["ftspm"] < results["baseline-sram"]
+    intervals = {
+        structure: _campaign(profile, structure, trials=60_000,
+                             seed=99).interval("harmful")
+        for structure in ("ftspm", "baseline-sram")}
+    assert intervals["ftspm"].high < intervals["baseline-sram"].low
 
 
 def test_sttram_injection_always_benign():
     profile = synthetic_profile("susan")
-    evaluation = evaluate_structure(profile, "baseline-sttram")
-    campaign = InjectionCampaign(
-        evaluation.plan.avf_entries(profile),
-        evaluation.plan.total_spm_bytes(),
-        profile.total_cycles, seed=5)
-    result = campaign.run(trials=20_000)
-    assert result.harmful == 0
+    summary = _campaign(profile, "baseline-sttram", trials=20_000, seed=5)
+    assert summary.result.trials == 20_000
+    assert summary.result.harmful == 0
 
 
 # --- whole-suite sanity --------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from repro import ftspm_config
 from repro.config import Protection
 from repro.errors import ConfigurationError, MemoryAccessError
+from repro.events import EventKind
 from repro.mem import MemorySystem, SttRamDevice, build_scratchpad
 from repro.mem.hierarchy import AccessType, DSPM_BASE, ISPM_BASE
 
@@ -138,28 +139,28 @@ def test_remap_target_must_fit_spm(memory):
 
 def test_observer_sees_all_accesses(memory):
     seen = []
-    memory.add_observer(
-        lambda *args: seen.append(args))
+    memory.events.subscribe(seen.append)
     memory.access(0x1000, 4, False, access_type=AccessType.FETCH)
     memory.access(0x2000, 4, True, value=5)
-    assert len(seen) == 2
-    assert seen[0][0] is AccessType.FETCH
-    assert seen[1][3] is True  # is_write
+    memory.access(0x2000, 4, False)
+    assert [event.kind for event in seen] == [
+        EventKind.FETCH, EventKind.WRITE, EventKind.READ]
 
 
 def test_observer_gets_home_address_not_spm_address(memory):
     memory.install_remap(0x4000, 64, DSPM_BASE)
     seen = []
-    memory.add_observer(lambda *args: seen.append(args))
+    memory.events.subscribe(seen.append)
     memory.access(0x4010, 4, False)
-    assert seen[0][1] == 0x4010
+    event, = seen
+    assert event.address == 0x4010
+    assert event.device_name == "dspm-parity"  # serviced from the SPM copy
 
 
 def test_remove_observer(memory):
     seen = []
-    observer = lambda *args: seen.append(args)
-    memory.add_observer(observer)
-    memory.remove_observer(observer)
+    handler = memory.events.subscribe(seen.append)
+    memory.events.unsubscribe(handler)
     memory.access(0x1000, 4, False)
     assert not seen
 
