@@ -600,6 +600,7 @@ def _cmd_golden(args):
     from .sim.diffcheck import (
         ENGINES,
         check_golden,
+        check_golden_profiles,
         corpus_file_digests,
         golden_names,
         uncommitted_source_changes,
@@ -638,6 +639,8 @@ def _cmd_golden(args):
         for name, problem in check_golden(args.dir, names=names,
                                           engine=engine).items():
             problems["%s/%s" % (name, engine)] = problem
+    for name, problem in check_golden_profiles(names=names).items():
+        problems["profile:%s" % name] = problem
     for key, problem in check_campaign_golden(args.dir,
                                               names=names).items():
         problems["campaign:%s" % key] = problem
@@ -651,8 +654,8 @@ def _cmd_golden(args):
             else entry.diff.summary())
     checked = names or golden_names()
     if not problems:
-        print("golden corpus OK (%d workload(s) checked, sim + campaign "
-              "+ mapping)" % len(checked))
+        print("golden corpus OK (%d workload(s) checked, sim + profile "
+              "+ campaign + mapping)" % len(checked))
         return 0
     for name, problem in sorted(problems.items()):
         print("%s: %s" % (name, problem))

@@ -7,14 +7,23 @@ Every instrumentation consumer reads one :class:`EventBus`, carried by
 * the memory system publishes one :class:`AccessEvent` per routed
   architectural access (fetch, read, or write),
 * the CPU publishes one :class:`CallEvent` per executed ``bl``,
-* any number of subscribers — profiler, trace recorder, sim hot-spot
-  profiler — receive the same stream, uniformly, in subscription
-  order.  Subscribers never interact, so their outputs are independent
-  of subscription order (tested).
+* any number of subscribers — the trace recorder, the sim hot-spot
+  profiler, the live Table-I profiler oracle — receive the same
+  stream, uniformly, in subscription order.  Subscribers never
+  interact, so their outputs are independent of subscription order
+  (tested).
 
 A subscriber is any callable taking the event; :class:`EventSubscriber`
 is an optional base class that dispatches to ``on_access``/``on_call``
 by event type.  One simulation pass feeds every consumer.
+
+Besides subscribers, the bus has one **recorder** slot
+(:class:`repro.profile.columns.ProfileRecorder`, set by
+:func:`repro.profile.profile_program`).  The recorder receives bare
+values — ``(kind, address, at_cycle)`` per access and the target per
+call — and builds no event objects, so a recorder alone leaves the
+fast engine in its batched mode: the engine hands it one row per
+executed basic block instead of one fetch at a time.
 """
 
 from __future__ import annotations
@@ -88,16 +97,37 @@ class EventBus:
     def __init__(self, clock=None):
         self.clock = clock or (lambda: 0)
         self._subscribers = []
+        self._recorder = None
+        # subscribers or a recorder present: the one check a silent bus
+        # pays per publish
+        self._live = False
 
     # --- wiring ------------------------------------------------------------
 
     def subscribe(self, handler):
         """Register ``handler(event)``; returns the handler for chaining."""
         self._subscribers.append(handler)
+        self._live = True
         return handler
 
     def unsubscribe(self, handler):
         self._subscribers.remove(handler)
+        self._live = bool(self._subscribers) or self._recorder is not None
+
+    @property
+    def recorder(self):
+        """The column recorder (see the module docstring), or None."""
+        return self._recorder
+
+    def attach_recorder(self, recorder):
+        """Install ``recorder`` in the bus's one recorder slot."""
+        self._recorder = recorder
+        self._live = True
+        return recorder
+
+    def detach_recorder(self):
+        self._recorder = None
+        self._live = bool(self._subscribers)
 
     def is_subscribed(self, handler):
         return handler in self._subscribers
@@ -111,18 +141,27 @@ class EventBus:
     def publish_access(self, kind, address, size, device_name, cycles,
                        energy=0.0):
         """Build and publish one :class:`AccessEvent`, stamped now."""
-        if not self._subscribers:
+        if not self._live:
             return None
+        now = self.clock()
+        if self._recorder is not None:
+            self._recorder.access(kind, address, now)
+            if not self._subscribers:
+                return None
         event = AccessEvent(kind, address, size, device_name, cycles,
-                            energy, self.clock())
+                            energy, now)
         for handler in self._subscribers:
             handler(event)
         return event
 
     def publish_call(self, target):
         """Build and publish one :class:`CallEvent`, stamped now."""
-        if not self._subscribers:
+        if not self._live:
             return None
+        if self._recorder is not None:
+            self._recorder.call(target)
+            if not self._subscribers:
+                return None
         event = CallEvent(EventKind.CALL, target, self.clock())
         for handler in self._subscribers:
             handler(event)

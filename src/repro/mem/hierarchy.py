@@ -9,8 +9,9 @@ first; unmapped references go through the L1 cache to DRAM.
 
 Every routed access is published on the memory system's
 :class:`~repro.events.EventBus` as a typed
-:class:`~repro.events.AccessEvent`; the profiler, trace recorder, and
-sim hot-spot profiler all subscribe to that one stream.
+:class:`~repro.events.AccessEvent`; the trace recorder and sim hot-spot
+profiler subscribe to that one stream, and the profile recorder in the
+bus's recorder slot takes the same accesses as bare values.
 
 Accesses that straddle a live mapping boundary are rejected in both
 directions: one that *starts* inside a mapping but runs past its end,

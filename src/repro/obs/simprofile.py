@@ -1,9 +1,9 @@
 """Sim hot-spot attribution: where the simulated cycles and energy go.
 
 :class:`SimProfiler` is an :class:`~repro.events.EventSubscriber` that
-rides the machine's existing access-event bus — the same stream the
-Table-I profiler reads — and aggregates every routed access into two
-attribution tables:
+rides the machine's existing access-event bus — the stream the trace
+recorder and the live Table-I profiler oracle read — and aggregates
+every routed access into two attribution tables:
 
 * **per device** (``dspm-stt``, ``l1-cache``, …): access count, cycles,
   and dynamic energy, split by event kind,

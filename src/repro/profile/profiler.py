@@ -1,8 +1,7 @@
-"""Trace-driven profiler producing per-block statistics.
+"""Per-block profiling statistics (Table I) and the profiling run.
 
-Subscribes to a :class:`~repro.sim.machine.Machine`'s access-event bus
-(one stream carrying fetches, data accesses, and call events) and
-accumulates, per program block:
+:func:`profile_program` runs a program once and accumulates, per
+program block:
 
 * read/write counts (instruction fetches count as reads of code blocks),
 * *references* — contiguous activation episodes: for code blocks an
@@ -17,6 +16,13 @@ accumulates, per program block:
 * **ACE cycles** — the read-gap accumulation used by the AVF model: a
   bit flip matters only if it lands between a write (or earlier read)
   and the next read of the block.
+
+It records the run in columns (:mod:`repro.profile.columns`), which
+keeps the fast engine in its batched mode.  :class:`Profiler` derives
+the same statistics live, as a subscriber to the machine's event bus;
+it is the oracle the column profile is held against
+(:func:`live_profile`, ``tests/test_profile_columns.py``,
+``repro golden``).
 
 The profiling platform defaults to the pure-SRAM baseline with no SPM
 mapping installed, matching the paper's static-profiling phase (counts
@@ -39,6 +45,7 @@ from .blocks import (
     STACK_BLOCK_NAME,
     enumerate_blocks,
 )
+from .columns import ProfileRecorder
 
 
 @dataclass
@@ -143,8 +150,10 @@ class Profile:
 
 class Profiler(EventSubscriber):
     """Bus subscriber that accumulates a :class:`Profile` while a
-    machine runs.  One subscription on the machine's event bus delivers
-    fetches, data accesses, and call events uniformly."""
+    machine runs: the oracle for :func:`profile_program`'s columns.
+    One subscription on the machine's event bus delivers fetches, data
+    accesses, and call events uniformly (and puts the fast engine in
+    its granular per-access mode)."""
 
     def __init__(self, machine, include_stack=True):
         self.machine = machine
@@ -254,7 +263,7 @@ class Profiler(EventSubscriber):
         self._current_code = None
         self._current_data = None
         self.detach()
-        self._shrink_stack_block()
+        _shrink_stack_block(self._stats, self._stack_low)
         # Close ACE windows still opened by a write: the last stored
         # value stays architecturally live until halt.
         self._ace.finish(now)
@@ -269,27 +278,28 @@ class Profiler(EventSubscriber):
         )
 
 
-    def _shrink_stack_block(self):
-        """Resize the Stack block to its observed footprint.
+def _shrink_stack_block(stats, stack_low):
+    """Resize the Stack block to its observed footprint.
 
-        The stack *window* is large (tens of KB of address space), but
-        the paper maps the stack by its measured footprint (Table I's
-        "maximum stack size needed").  Shrinking to the low-watermark,
-        rounded up to 64 bytes, makes the Stack block a realistic SPM
-        mapping candidate while still covering every touched address.
-        """
-        stack_stats = self._stats.get(STACK_BLOCK_NAME)
-        if stack_stats is None or self._stack_low is None:
-            return
-        top = stack_stats.block.home_end
-        footprint = top - self._stack_low
-        footprint = (footprint + 63) // 64 * 64
-        stack_stats.block = ProgramBlock(
-            name=stack_stats.block.name,
-            kind=stack_stats.block.kind,
-            home_start=top - footprint,
-            size=footprint,
-        )
+    The stack *window* is large (tens of KB of address space), but
+    the paper maps the stack by its measured footprint (Table I's
+    "maximum stack size needed").  Shrinking to the low-watermark
+    ``stack_low`` (the lowest stack address a data access touched),
+    rounded up to 64 bytes, makes the Stack block a realistic SPM
+    mapping candidate while still covering every touched address.
+    """
+    stack_stats = stats.get(STACK_BLOCK_NAME)
+    if stack_stats is None or stack_low is None:
+        return
+    top = stack_stats.block.home_end
+    footprint = top - stack_low
+    footprint = (footprint + 63) // 64 * 64
+    stack_stats.block = ProgramBlock(
+        name=stack_stats.block.name,
+        kind=stack_stats.block.kind,
+        home_start=top - footprint,
+        size=footprint,
+    )
 
 
 def profile_program(program, config=None, max_instructions=None):
@@ -297,10 +307,44 @@ def profile_program(program, config=None, max_instructions=None):
 
     ``config`` defaults to the pure-SRAM baseline with an empty transfer
     schedule (every access through the cache), mirroring the paper's
-    platform-neutral static profiling step.  The profiler subscribes to
-    the event bus, which puts the fast engine into its granular
-    per-access mode.
+    platform-neutral static profiling step.  A
+    :class:`~repro.profile.columns.ProfileRecorder` takes the event
+    bus's recorder slot, so the fast engine stays in its batched mode
+    and hands over one row per executed basic block; the rows are
+    folded into the same :class:`BlockStats` the live
+    :class:`Profiler` oracle computes (:func:`live_profile`).
     """
+    config = config or baseline_sram_config()
+    blocks = enumerate_blocks(program)
+    recorder = ProfileRecorder(blocks, program.stack_top)
+    machine = Machine(program, config)
+    recorder.attach(machine)
+    if max_instructions is None:
+        machine.run()
+    else:
+        machine.run(max_instructions=max_instructions)
+    machine.events.detach_recorder()
+    total_cycles = machine.cpu.stats.cycles
+    total_instructions = machine.cpu.stats.instructions
+    # free the machine (and its DRAM image) before the final fold
+    del machine
+    fields, stack_low = recorder.finish(total_cycles)
+    stats = {block.name: BlockStats(block, **fields[block.name])
+             for block in blocks}
+    _shrink_stack_block(stats, stack_low)
+    return Profile(
+        program=program,
+        blocks=stats,
+        total_cycles=total_cycles,
+        total_instructions=total_instructions,
+        source_name=program.source_name,
+    )
+
+
+def live_profile(program, config=None, max_instructions=None):
+    """:func:`profile_program` computed by the live :class:`Profiler`
+    subscriber instead of the columns: the oracle the tests and
+    ``repro golden`` compare the column profile against."""
     config = config or baseline_sram_config()
     machine = Machine(program, config)
     profiler = Profiler(machine).attach()

@@ -93,9 +93,6 @@ class Cpu:
         #: :class:`~repro.events.CallEvent`; the machine wires this to the
         #: memory system's bus so one stream carries calls and accesses.
         self.events = events
-        #: legacy hook: callables invoked with the target address on every
-        #: BL.  New code should subscribe to the event bus instead.
-        self.call_listeners = []
 
     # --- flag helpers ---------------------------------------------------------
 
@@ -353,8 +350,6 @@ class Cpu:
                 self._write_register(LR, self.state.pc)
                 if self.events is not None:
                     self.events.publish_call(target)
-                for listener in self.call_listeners:
-                    listener(target)
         self.state.pc = target
         return 2  # 1 execute + 1 redirect penalty
 

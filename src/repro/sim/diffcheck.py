@@ -26,14 +26,19 @@ The module also maintains the **golden-trace corpus** under
 ``tests/golden/``: committed digests of every bundled kernel and the
 case study on the FTSPM structure, refreshed via ``repro golden
 --update``.  The corpus pins simulator behaviour over time the same way
-the differential harness pins it across engines.
+the differential harness pins it across engines.  For the same
+workloads, :func:`check_golden_profiles` holds the column profile
+(:func:`repro.profile.profile_program`) against the live
+:class:`~repro.profile.profiler.Profiler` oracle.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
+import pickle
 from contextlib import contextmanager, nullcontext
 
 from ..errors import ReproError
@@ -390,6 +395,20 @@ def golden_filename(name):
     return name.replace(":", "-") + ".json"
 
 
+def _golden_program(name):
+    """The assembled program of one corpus entry."""
+    if name == "case":
+        from ..workloads.case_study import case_study_program
+
+        return case_study_program(GOLDEN_CASE_ARRAY_WORDS,
+                                  GOLDEN_CASE_OUTER_ITERATIONS)
+    if name.startswith("kernel:"):
+        from ..workloads.kernels import kernel_program
+
+        return kernel_program(name.split(":", 1)[1]).program
+    raise ReproError("unknown golden workload %r" % name)
+
+
 def _golden_machine(name):
     """Build the canonical machine for one corpus entry: the workload
     placed on the FTSPM structure by the MDA plan, DMA schedule and all.
@@ -399,14 +418,8 @@ def _golden_machine(name):
     from ..pipeline import get_context
 
     context = get_context()
-    if name == "case":
-        program, profile = context.case_study(
-            GOLDEN_CASE_ARRAY_WORDS, GOLDEN_CASE_OUTER_ITERATIONS)
-    elif name.startswith("kernel:"):
-        build = context.kernel_build(name.split(":", 1)[1])
-        program, profile = build.program, context.profile_of(build.program)
-    else:
-        raise ReproError("unknown golden workload %r" % name)
+    program = _golden_program(name)
+    profile = context.profile_of(program)
     config, plan, _ = context.plan(profile, GOLDEN_STRUCTURE)
     return build_machine(program, config, plan, profile)
 
@@ -468,4 +481,43 @@ def check_golden(directory, names=None, engine="reference"):
             diff = DiffReport(committed["digest"], current["digest"],
                               labels=("committed", "current"))
             problems[name] = diff.explain()
+    return problems
+
+
+# --- the profile oracle ------------------------------------------------------
+
+def profile_digest(profile):
+    """A profile as JSON-stable values: the run totals, every
+    :class:`~repro.profile.profiler.BlockStats` field, the artifact
+    fingerprint, and a hash of the pickled bytes the store writes."""
+    from ..pipeline.keys import profile_fingerprint
+
+    return {
+        "total_cycles": profile.total_cycles,
+        "total_instructions": profile.total_instructions,
+        "blocks": {name: dataclasses.asdict(stats)
+                   for name, stats in profile.blocks.items()},
+        "fingerprint": profile_fingerprint(profile),
+        "pickle_sha256": hashlib.sha256(pickle.dumps(profile)).hexdigest(),
+    }
+
+
+def check_golden_profiles(names=None):
+    """Profile every corpus workload both ways — the recorded columns
+    :func:`~repro.profile.profile_program` folds, and the live
+    :class:`~repro.profile.profiler.Profiler` oracle — and compare.
+
+    Returns ``{name: problem}``; empty means every profile matches the
+    oracle field for field and byte for byte.
+    """
+    from ..profile.profiler import live_profile, profile_program
+
+    problems = {}
+    for name in names or golden_names():
+        program = _golden_program(name)
+        oracle = profile_digest(live_profile(program))
+        columns = profile_digest(profile_program(program))
+        if columns != oracle:
+            problems[name] = DiffReport(
+                oracle, columns, labels=("oracle", "columns")).explain()
     return problems

@@ -21,8 +21,14 @@ per-cycle overhead:
 * the event bus is left silent for whole blocks when it has no
   subscribers — exactly the accesses the reference engine would publish
   to nobody — and switches to a **granular** per-instruction mode (same
-  closures, exact ``at_cycle`` stamps) the moment a profiler, trace
-  recorder, or sim hot-spot profiler subscribes,
+  closures, exact ``at_cycle`` stamps) the moment a trace recorder, sim
+  hot-spot profiler, or the live profiler oracle subscribes,
+* a **column recorder** in the bus's recorder slot (what
+  :func:`repro.profile.profile_program` installs) keeps the batched
+  mode: cache-routed blocks advance the cycle counter per instruction,
+  so the data rows the bus records carry exact ``at_cycle`` stamps, and
+  hand the recorder one row per block; blocks end at ``.func`` starts
+  and ends so that a row never spans two code blocks,
 * the engine **falls back to the reference step loop** whenever exact
   per-cycle interleaving matters: around instruction-count (timed) DMA
   triggers, registered instruction hooks, declared exact windows (see
@@ -59,7 +65,7 @@ from ..isa.instructions import (
     Mnemonic,
     WRITES_FIRST_OPERAND,
 )
-from ..isa.registers import LR, PC
+from ..isa.registers import LR, PC, SP
 from ..mem.hierarchy import AccessType
 from .cpu import _DISPATCH, _MASK32, _signed
 from .machine import EXIT_ADDRESS
@@ -79,25 +85,40 @@ _BLOCK_ENDERS = frozenset({Mnemonic.B, Mnemonic.BL, Mnemonic.BX,
                            Mnemonic.HALT})
 
 
+def _writes_register(instruction, register):
+    mnemonic = instruction.mnemonic
+    if mnemonic in WRITES_FIRST_OPERAND:
+        first = instruction.operands[0]
+        return first.is_register and first.value == register
+    return False
+
+
 def _ends_block(instruction):
     mnemonic = instruction.mnemonic
     if mnemonic in _BLOCK_ENDERS:
         return True
     if mnemonic is Mnemonic.POP:
         return PC in instruction.operands[0].value
-    if mnemonic in WRITES_FIRST_OPERAND:
-        first = instruction.operands[0]
-        return first.is_register and first.value == PC
-    return False
+    return _writes_register(instruction, PC)
+
+
+def _moves_sp(instruction):
+    return (instruction.mnemonic in (Mnemonic.PUSH, Mnemonic.POP)
+            or _writes_register(instruction, SP))
 
 
 class _Block:
-    """One predecoded straight-line run of instructions."""
+    """One predecoded straight-line run of instructions.
+
+    ``sp_moves`` is true when an instruction before the last may change
+    the stack pointer, so the recorder's lowest-SP-at-a-fetch column
+    has to look at every fetch, not only the first.
+    """
 
     __slots__ = ("start", "end", "n", "pcs", "ops", "mnemonics", "counts",
-                 "route", "route_version")
+                 "sp_moves", "route", "route_version")
 
-    def __init__(self, start, pcs, ops, mnemonics):
+    def __init__(self, start, pcs, ops, mnemonics, sp_moves):
         self.start = start
         self.end = pcs[-1] + INSTRUCTION_BYTES
         self.n = len(ops)
@@ -108,6 +129,7 @@ class _Block:
         for mnemonic in mnemonics:
             counts[mnemonic] = counts.get(mnemonic, 0) + 1
         self.counts = counts
+        self.sp_moves = sp_moves
         self.route = None
         self.route_version = -1
 
@@ -150,7 +172,11 @@ class FastEngine:
         self.events = machine.events
         self.data_access = self.cpu._data_access
         self._blocks = {}
-        self._trigger_pcs = frozenset(machine._triggers)
+        # a block ends before any of these: PC triggers, and code-block
+        # (.func) boundaries, so no block spans two profiled functions
+        self._split_pcs = frozenset(machine._triggers).union(
+            *((block.start, block.end)
+              for block in machine.program.code_blocks))
 
     # --- the run loop --------------------------------------------------------
 
@@ -164,7 +190,7 @@ class FastEngine:
         regs = self.regs
         blocks = self._blocks
         events = self.events
-        call_listeners = cpu.call_listeners
+        recorder = events.recorder
         while not cpu.halted:
             if stats.instructions >= max_instructions:
                 raise ExecutionLimitExceeded(
@@ -200,10 +226,12 @@ class FastEngine:
                 # and re-evaluate.
                 machine.step()
                 continue
-            if events._subscribers or call_listeners:
+            if events._subscribers:
                 self._run_granular(block)
-            else:
+            elif recorder is None:
                 self._run_batched(block)
+            else:
+                self._run_recorded(block, recorder)
 
     # --- fallback predicates --------------------------------------------------
 
@@ -230,10 +258,11 @@ class FastEngine:
         instruction = program.instruction_at(pc)
         if instruction is None:
             return _STEP
-        triggers = self._trigger_pcs
+        splits = self._split_pcs
         pcs = []
         ops = []
         mnemonics = []
+        sp_moves = False
         address = pc
         while True:
             pcs.append(address)
@@ -243,12 +272,14 @@ class FastEngine:
             if _ends_block(instruction) or len(ops) >= _MAX_BLOCK:
                 break
             address += INSTRUCTION_BYTES
-            if address in triggers:
+            if address in splits:
                 break
+            # not the block's last instruction: a fetch follows it
+            sp_moves = sp_moves or _moves_sp(instruction)
             instruction = program.instruction_at(address)
             if instruction is None:
                 break
-        return _Block(pc, tuple(pcs), ops, tuple(mnemonics))
+        return _Block(pc, tuple(pcs), ops, tuple(mnemonics), sp_moves)
 
     # --- block execution ------------------------------------------------------
 
@@ -358,6 +389,46 @@ class FastEngine:
         except BaseException:
             self._count_partial(block, done)
             raise
+        stats.instructions += n
+        counts = stats.mnemonic_counts
+        for mnemonic, count in block.counts.items():
+            counts[mnemonic] = counts.get(mnemonic, 0) + count
+
+    def _run_recorded(self, block, recorder):
+        """A column recorder and no subscribers.  The cache route
+        fetches as in batched mode but advances the cycle counter per
+        instruction, so the data rows the bus records are stamped
+        exactly, then hands the recorder one row for the whole block.
+        Other routes take the granular loop, whose fetches the bus
+        records one instruction at a time."""
+        if self._route_of(block)[0] != "cache":
+            self._run_granular(block)
+            return
+        stats = self.stats
+        regs = self.regs
+        access = self.memory.cache.access
+        pcs = block.pcs
+        ops = block.ops
+        n = block.n
+        sp_moves = block.sp_moves
+        first = last = stats.cycles
+        low_sp = regs[SP]
+        i = 0
+        done = 0
+        try:
+            while i < n:
+                if sp_moves and regs[SP] < low_sp:
+                    low_sp = regs[SP]
+                last = stats.cycles
+                fetch_cycles = access(
+                    pcs[i], INSTRUCTION_BYTES, False, 0).cycles
+                done = i + 1
+                stats.cycles += fetch_cycles + ops[i]()
+                i += 1
+        except BaseException:
+            self._count_partial(block, done)
+            raise
+        recorder.block(block.start, n, first, last, low_sp)
         stats.instructions += n
         counts = stats.mnemonic_counts
         for mnemonic, count in block.counts.items():
@@ -762,7 +833,6 @@ class FastEngine:
                 return 2
             return op
         events = self.cpu.events
-        call_listeners = self.cpu.call_listeners
 
         def op():  # BL
             stats.branches += 1
@@ -770,8 +840,6 @@ class FastEngine:
             regs[LR] = np
             if events is not None:
                 events.publish_call(raw_target)
-            for listener in call_listeners:
-                listener(raw_target)
             regs[PC] = target
             return 2
         return op

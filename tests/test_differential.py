@@ -103,9 +103,10 @@ def test_case_study_access_stream_matches(context):
 
 
 def test_profiles_are_engine_invariant(context):
-    """The profiler's subscription forces granular mode, so the profile
-    fingerprint — which seeds every downstream artifact key — cannot
-    depend on the engine."""
+    """The fast engine hands the profile recorder one row per basic
+    block; the reference loop hands it one row per fetch.  The profile
+    fingerprint, which seeds every downstream artifact key, must not
+    depend on which engine recorded it."""
     build = context.kernel_build("bitcount")
     with reference_engine():
         reference = profile_program(build.program)

@@ -93,3 +93,28 @@ def test_cli_golden_checks_the_fast_engine(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "kernel:bitcount/fast: digests diverge" in out
     assert "kernel:bitcount/reference" not in out
+
+
+def test_cli_golden_checks_the_column_profile(monkeypatch, capsys):
+    """``repro golden`` holds every golden workload's column profile
+    against the live Profiler oracle: a planted one-cycle-per-block
+    drift in the engine's recording loop fails the command as a
+    profile mismatch."""
+    from repro.cli import main
+    from repro.pipeline import EvaluationContext, using_context
+    from repro.sim.diffcheck import check_golden_profiles
+    from repro.sim.fastpath import FastEngine
+
+    assert check_golden_profiles(names=["kernel:bitcount"]) == {}
+
+    recorded = FastEngine._run_recorded
+
+    def one_cycle_late(self, block, recorder):
+        recorded(self, block, recorder)
+        self.stats.cycles += 1
+
+    monkeypatch.setattr(FastEngine, "_run_recorded", one_cycle_late)
+    with using_context(EvaluationContext()):
+        assert main(["golden", "kernel:bitcount", "--dir", GOLDEN_DIR]) == 1
+    assert ("profile:kernel:bitcount: digests diverge"
+            in capsys.readouterr().out)
