@@ -45,7 +45,6 @@ from .blocks import (
     STACK_BLOCK_NAME,
     enumerate_blocks,
 )
-from .columns import ProfileRecorder
 
 
 @dataclass
@@ -314,6 +313,10 @@ def profile_program(program, config=None, max_instructions=None):
     folded into the same :class:`BlockStats` the live
     :class:`Profiler` oracle computes (:func:`live_profile`).
     """
+    # imported here: unpickling a profile (a warm start) needs this
+    # module, not the recorder
+    from .columns import ProfileRecorder
+
     config = config or baseline_sram_config()
     blocks = enumerate_blocks(program)
     recorder = ProfileRecorder(blocks, program.stack_top)
