@@ -58,11 +58,6 @@ WORKLOADS = {
     "case:256x4": lambda: case_study_program(256, 4),
 }
 
-#: the workloads also checked on the slower oracle paths
-SMALL_WORKLOADS = [key for key in WORKLOADS
-                   if key.endswith("@1") or key == "case:64x1"]
-
-
 @pytest.fixture(scope="module")
 def oracle():
     """``oracle(key) -> (program, live profile)``, one oracle run per
@@ -84,7 +79,7 @@ def test_columns_match_oracle(oracle, key):
     assert_same_profile(profile_program(program), expected)
 
 
-@pytest.mark.parametrize("key", SMALL_WORKLOADS)
+@pytest.mark.parametrize("key", list(WORKLOADS))
 def test_columns_match_oracle_under_reference_engine(oracle, key):
     """Every fetch reaches the recorder one at a time through the bus."""
     program, expected = oracle(key)
@@ -93,7 +88,7 @@ def test_columns_match_oracle_under_reference_engine(oracle, key):
     assert_same_profile(profile, expected)
 
 
-@pytest.mark.parametrize("key", SMALL_WORKLOADS)
+@pytest.mark.parametrize("key", list(WORKLOADS))
 def test_columns_match_oracle_with_obs_enabled(oracle, key):
     """A SimProfiler on the bus forces the granular loop, which feeds
     the recorder the same rows one fetch at a time."""
