@@ -319,9 +319,10 @@ def profile_program(program, config=None, max_instructions=None):
 
     config = config or baseline_sram_config()
     blocks = enumerate_blocks(program)
-    recorder = ProfileRecorder(blocks, program.stack_top)
+    # The machine first, so its 8 MB DRAM image can take the memory the
+    # previous machine's image freed before anything else splits it.
     machine = Machine(program, config)
-    recorder.attach(machine)
+    recorder = ProfileRecorder(blocks, program.stack_top).attach(machine)
     if max_instructions is None:
         machine.run()
     else:

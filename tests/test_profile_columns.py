@@ -58,6 +58,7 @@ WORKLOADS = {
     "case:256x4": lambda: case_study_program(256, 4),
 }
 
+
 @pytest.fixture(scope="module")
 def oracle():
     """``oracle(key) -> (program, live profile)``, one oracle run per
@@ -97,7 +98,7 @@ def test_columns_match_oracle_with_obs_enabled(oracle, key):
     try:
         profile = profile_program(program)
     finally:
-        obs.disable()
+        obs.reset()
     assert_same_profile(profile, expected)
 
 
