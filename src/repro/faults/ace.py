@@ -3,8 +3,12 @@
 The AVF model (equations (1)–(3)) weighs each block by its **ACE time**:
 a particle strike matters only if it lands between a write (or an
 earlier read) and the *next read* of the block — the read-gap
-accumulation.  The profiler feeds :class:`AceTracker` every touch it
-attributes to a block and reads the totals into ``BlockStats``.
+accumulation.  The live profiler oracle
+(:class:`~repro.profile.profiler.Profiler`) feeds :class:`AceTracker`
+every touch it attributes to a block and reads the totals into
+``BlockStats``.  :func:`repro.profile.profile_program` applies the
+same rule to batches of recorded rows (:mod:`repro.profile.columns`);
+tests hold its profile equal to the oracle's.
 """
 
 from __future__ import annotations
