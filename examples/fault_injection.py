@@ -18,8 +18,8 @@ Run:  python examples/fault_injection.py [--trials N] [--jobs N]
 import argparse
 
 from repro.campaign import CampaignRunner, CampaignSpec
-from repro.eval.structures import evaluate_structure, plan_for_structure
-from repro.faults import MbuDistribution, region_surface_vulnerability
+from repro.eval.structures import evaluate_structure
+from repro.faults import MbuDistribution
 from repro.workloads import mibench_names, synthetic_profile
 
 
@@ -46,9 +46,6 @@ def main():
         profile = synthetic_profile(name)
         for structure in ("ftspm", "baseline-sram"):
             evaluation = evaluate_structure(profile, structure)
-            analytic = region_surface_vulnerability(
-                evaluation.plan, profile, mbu=mbu,
-                uniform=structure != "ftspm").vulnerability
             spec = CampaignSpec.from_entries(
                 evaluation.plan.avf_entries(profile),
                 evaluation.plan.total_spm_bytes(),
@@ -56,7 +53,8 @@ def main():
                 seed=0xF17A)
             result = CampaignRunner(spec, jobs=args.jobs).run().result
             print("%-13s %-16s %8.4f %10.4f %8d %8d %8d" % (
-                name, structure, analytic, result.vulnerability,
+                name, structure, evaluation.vulnerability,
+                result.vulnerability,
                 result.dre, result.due, result.sdc))
     print()
     print("Note: 'analytic' uses the paper's region-surface reading "

@@ -78,26 +78,21 @@ class CampaignSpec:
 
     @classmethod
     def from_structure(cls, profile, structure, trials, seed=0xF7F7,
-                       shard_size=DEFAULT_SHARD_SIZE, mbu=None,
-                       uniform=None, spm_name="D-SPM"):
+                       shard_size=DEFAULT_SHARD_SIZE):
         """Region-surface reading of Fig. 5 for one (workload, structure).
 
         Each D-SPM region becomes one target whose ``ace_fraction`` is
         the region's ACE-weighted utilization, so the campaign's expected
         harmful rate equals the analytic
-        :func:`~repro.faults.avf.region_surface_vulnerability` modulo the
+        :func:`~repro.eval.structures.surface_vulnerability` modulo the
         real-codec deviations the analytic model rounds off.
         """
-        from ..faults.avf import region_surface_vulnerability
+        from ..eval.structures import surface_vulnerability
         from ..pipeline import get_context
 
         config, plan, _ = get_context().plan(profile, structure)
-        if mbu is None:
-            mbu = MbuDistribution.for_node(config.technology_node_nm)
-        if uniform is None:
-            uniform = structure != "ftspm"
-        breakdown = region_surface_vulnerability(
-            plan, profile, mbu=mbu, uniform=uniform, spm_name=spm_name)
+        mbu, breakdown = surface_vulnerability(plan, profile, structure,
+                                               config)
         targets = []
         total = 0
         for block in breakdown.blocks:
@@ -209,17 +204,11 @@ class CampaignSpec:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def analytic_vulnerability(profile, structure, mbu=None, uniform=None,
-                           spm_name="D-SPM"):
+def analytic_vulnerability(profile, structure):
     """The Fig. 5 analytic value a measured campaign is validated against."""
-    from ..faults.avf import region_surface_vulnerability
+    from ..eval.structures import surface_vulnerability
     from ..pipeline import get_context
 
     config, plan, _ = get_context().plan(profile, structure)
-    if mbu is None:
-        mbu = MbuDistribution.for_node(config.technology_node_nm)
-    if uniform is None:
-        uniform = structure != "ftspm"
-    return region_surface_vulnerability(
-        plan, profile, mbu=mbu, uniform=uniform,
-        spm_name=spm_name).vulnerability
+    return surface_vulnerability(plan, profile, structure,
+                                 config)[1].vulnerability

@@ -23,6 +23,10 @@ from ..tech.nvsim_lite import energy_models_for
 
 _WORD = 4
 
+#: the fraction of unmapped-block accesses that miss the L1 cache and
+#: pay a line fill from DRAM
+CACHE_MISS_RATE = 0.08
+
 
 @dataclass(frozen=True)
 class CacheCostEstimate:
@@ -50,12 +54,10 @@ class ScenarioCost:
 class ScenarioCostModel:
     """Prices mapping plans for one profiled workload on one platform."""
 
-    def __init__(self, profile, config, energy_models=None,
-                 cache_miss_rate=0.08):
+    def __init__(self, profile, config, energy_models=None):
         self.profile = profile
         self.config = config
         self.energy_models = energy_models or energy_models_for(config)
-        self.cache_miss_rate = cache_miss_rate
         self._cache_cost = self._estimate_cache_cost()
         self._ideal = None
 
@@ -69,11 +71,11 @@ class ScenarioCostModel:
                        + (words_per_line - 1) * off_chip.burst_word_latency)
         cache_model = self.energy_models.get("cache", EnergyModel())
         dram_model = self.energy_models.get("dram", EnergyModel())
-        fill_energy = self.cache_miss_rate * (
+        fill_energy = CACHE_MISS_RATE * (
             dram_model.read_energy * words_per_line
             * BURST_ENERGY_FRACTION)
         return CacheCostEstimate(
-            latency=cache.latency + self.cache_miss_rate * fill_cycles,
+            latency=cache.latency + CACHE_MISS_RATE * fill_cycles,
             read_energy=cache_model.read_energy + fill_energy,
             write_energy=cache_model.write_energy + fill_energy,
         )

@@ -73,14 +73,10 @@ def _find_region(config, spm_config, predicate, description):
 class MappingDeterminer:
     """Off-line mapping phase bound to one hybrid platform config."""
 
-    def __init__(self, config, thresholds=None,
-                 mode=OptimizationMode.BALANCED, cost_model_factory=None):
+    def __init__(self, config, thresholds=None):
         self.config = config
-        self.thresholds = thresholds or thresholds_for_mode(mode)
-        self.mode = mode
-        self._cost_model_factory = (
-            cost_model_factory
-            or (lambda profile: ScenarioCostModel(profile, config)))
+        self.thresholds = (thresholds
+                           or thresholds_for_mode(OptimizationMode.BALANCED))
         self.ispm_region = _find_region(
             config, config.instruction_spm,
             lambda region: True, "instruction-SPM")
@@ -135,7 +131,7 @@ class MappingDeterminer:
         result = MdaResult(plan=plan,
                            profile_flavor=getattr(profile, "flavor",
                                                   "dynamic"))
-        cost_model = self._cost_model_factory(profile)
+        cost_model = ScenarioCostModel(profile, self.config)
         pool = []  # block names evicted from (or never admitted to) STT
 
         # Step 1a: instruction blocks into the STT-RAM I-SPM.

@@ -151,7 +151,6 @@ def _remove_static_map(schedule, home_address):
         action for action in schedule.actions
         if not (action.kind == "map"
                 and action.home_address == home_address
-                and action.trigger_pc is None
                 and action.trigger_instruction is None)
     ]
 

@@ -125,26 +125,31 @@ def _is_stt(config, region_name):
     return False
 
 
-def evaluate_structure(profile, structure, config=None, thresholds=None,
-                       mbu=None, cache_miss_rate=0.08):
+def surface_vulnerability(plan, profile, structure, config):
+    """Fig. 5's reading of one structure's plan: ``(mbu, breakdown)``.
+
+    Paper semantics (Fig. 5 / Section IV): the homogeneous baselines are
+    read as a uniformly vulnerable surface (constant ~0.38 for SEC-DED
+    SRAM, 0 for STT-RAM); the hybrid's vulnerability tracks the ACE-
+    weighted utilization of its SRAM regions.  Strikes follow the MBU
+    law of ``config``'s technology node.
+    """
+    mbu = MbuDistribution.for_node(config.technology_node_nm)
+    return mbu, region_surface_vulnerability(
+        plan, profile, mbu=mbu, uniform=structure != "ftspm")
+
+
+def evaluate_structure(profile, structure, config=None, thresholds=None):
     """Full metric set for one workload on one structure."""
     config, plan, mda_result = plan_for_structure(
         profile, structure, config=config, thresholds=thresholds)
     energy_models = energy_models_for(config)
     cost_model = ScenarioCostModel(profile, config,
-                                   energy_models=energy_models,
-                                   cache_miss_rate=cache_miss_rate)
+                                   energy_models=energy_models)
     cost = cost_model.cost_of(plan)
     runtime_seconds = cost.total_cycles * config.cycle_time
     leakage = _spm_leakage(config, energy_models)
-    mbu = mbu or MbuDistribution.for_node(config.technology_node_nm)
-    # Paper semantics (Fig. 5 / Section IV): the homogeneous baselines are
-    # read as a uniformly vulnerable surface (constant ~0.38 for SEC-DED
-    # SRAM, 0 for STT-RAM); the hybrid's vulnerability tracks the ACE-
-    # weighted utilization of its SRAM regions.
-    uniform = structure != "ftspm"
-    breakdown = region_surface_vulnerability(
-        plan, profile, mbu=mbu, uniform=uniform)
+    _, breakdown = surface_vulnerability(plan, profile, structure, config)
     return StructureEvaluation(
         structure=structure,
         workload=profile.source_name,

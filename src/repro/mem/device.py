@@ -5,6 +5,11 @@ writes return an :class:`AccessResult` with the cycle cost so the CPU model
 can charge it; energy is accumulated into the device's
 :class:`~repro.mem.stats.AccessStats`.
 
+The array is an anonymous memory mapping rather than a ``bytearray``: it
+reads and writes alike, but its pages become resident only when touched
+and go back to the OS when the device is freed, so a machine's 8 MB DRAM
+image costs what the program touches, whatever the allocator did before.
+
 Devices also expose raw (unaccounted) ``peek``/``poke`` used by the loader,
 the DMA engine's bulk copies (which do their own cost model), and the fault
 injector (a particle strike is not an architectural access).
@@ -12,6 +17,7 @@ injector (a particle strike is not an architectural access).
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 from ..errors import MemoryAccessError
@@ -50,7 +56,7 @@ class MemoryDevice:
         self.write_latency = write_latency
         self.energy_model = energy_model or EnergyModel()
         self.stats = AccessStats()
-        self._storage = bytearray(size)
+        self._storage = mmap.mmap(-1, size)
 
     # --- address helpers ----------------------------------------------------
 

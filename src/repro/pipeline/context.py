@@ -271,20 +271,18 @@ class EvaluationContext:
 
         return self.artifact("plan", parts, compute, disk=False)
 
-    def evaluation(self, profile, structure, config=None, thresholds=None,
-                   cache_miss_rate=0.08):
+    def evaluation(self, profile, structure, config=None, thresholds=None):
         """Full analytic metric set for one (workload, structure)."""
         from ..eval.structures import evaluate_structure
 
         parts = (self.profile_key(profile), structure,
                  self.config_key(config) if config is not None else None,
-                 thresholds_fingerprint(thresholds), cache_miss_rate)
+                 thresholds_fingerprint(thresholds))
 
         def compute():
             self.counters.evaluations += 1
             return evaluate_structure(profile, structure, config=config,
-                                      thresholds=thresholds,
-                                      cache_miss_rate=cache_miss_rate)
+                                      thresholds=thresholds)
 
         return self.artifact("evaluation", parts, compute)
 
@@ -351,8 +349,7 @@ class EvaluationContext:
         in picklable form.
         """
         from ..core.online import build_machine
-        from ..faults.avf import region_surface_vulnerability
-        from ..faults.mbu import MbuDistribution
+        from ..eval.structures import surface_vulnerability
 
         parts = (self.program_key(program), self.profile_key(profile),
                  structure,
@@ -365,11 +362,8 @@ class EvaluationContext:
                                             config=config)
             machine = build_machine(program, run_config, plan, profile)
             run = machine.run()
-            breakdown = region_surface_vulnerability(
-                plan, profile,
-                mbu=MbuDistribution.for_node(
-                    run_config.technology_node_nm),
-                uniform=structure != "ftspm")
+            _, breakdown = surface_vulnerability(plan, profile, structure,
+                                                 run_config)
             return {
                 "cycles": run.cycles,
                 "instructions": run.instructions,

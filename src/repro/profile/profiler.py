@@ -319,8 +319,6 @@ def profile_program(program, config=None, max_instructions=None):
 
     config = config or baseline_sram_config()
     blocks = enumerate_blocks(program)
-    # The machine first, so its 8 MB DRAM image can take the memory the
-    # previous machine's image freed before anything else splits it.
     machine = Machine(program, config)
     recorder = ProfileRecorder(blocks, program.stack_top).attach(machine)
     if max_instructions is None:
@@ -329,10 +327,6 @@ def profile_program(program, config=None, max_instructions=None):
         machine.run(max_instructions=max_instructions)
     machine.events.detach_recorder()
     totals = machine.cpu.stats
-    # Fold while the machine is alive.  Fold buffers allocated after its
-    # 8 MB DRAM image is freed can land in the freed image and split it,
-    # and the next machine then needs fresh pages for its own image
-    # (+7 MB peak RSS in a third of perfbench `report` runs).
     fields, stack_low = recorder.finish(totals.cycles)
     stats = {block.name: BlockStats(block, **fields[block.name])
              for block in blocks}

@@ -161,7 +161,7 @@ def machine_digest(machine, error=None):
 
 def run_with_engine(program, config, engine, schedule=None,
                     energy_models=None, max_instructions=None,
-                    trace=False, setup=None):
+                    trace=False):
     """Run ``program`` under one engine and return its digest.
 
     A :class:`ReproError` raised by the run (limit exceeded, unmapped
@@ -169,9 +169,7 @@ def run_with_engine(program, config, engine, schedule=None,
     ``"Type: message"`` — the error path must be engine-invariant too.
     With ``trace=True`` a recorder subscribes to the event bus (which
     forces the fast engine into granular mode), and the digest gains the
-    access stream's record count and SHA-256.  ``setup(machine)`` runs
-    before the machine does, so callers can install hooks, exact
-    windows, or extra schedule state identically on both engines.
+    access stream's record count and SHA-256.
     """
     machine = Machine(program, config, energy_models=energy_models,
                       schedule=schedule)
@@ -179,8 +177,6 @@ def run_with_engine(program, config, engine, schedule=None,
     if trace:
         from ..workloads.traces import TraceRecorder
         recorder = TraceRecorder(machine).attach()
-    if setup is not None:
-        setup(machine)
     error = None
     try:
         with engine_scope(engine):
@@ -236,16 +232,16 @@ class DiffReport:
 
 
 def compare_engines(program, config, schedule=None, energy_models=None,
-                    max_instructions=None, trace=False, setup=None):
+                    max_instructions=None, trace=False):
     """Run both engines over identical machines and diff the digests."""
     reference = run_with_engine(
         program, config, "reference", schedule=schedule,
         energy_models=energy_models, max_instructions=max_instructions,
-        trace=trace, setup=setup)
+        trace=trace)
     fast = run_with_engine(
         program, config, "fast", schedule=schedule,
         energy_models=energy_models, max_instructions=max_instructions,
-        trace=trace, setup=setup)
+        trace=trace)
     return DiffReport(reference, fast)
 
 

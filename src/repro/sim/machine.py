@@ -6,8 +6,9 @@ The machine is the FaCSim substitute's top level.  It
 * executes instructions, charging fetch and data latencies through the
   routed :class:`~repro.mem.hierarchy.MemorySystem`,
 * applies a :class:`TransferSchedule` — the output of the online mapping
-  phase — performing DMA block transfers when execution first reaches the
-  scheduled code addresses (or before execution starts, for static maps).
+  phase — performing DMA block transfers before execution starts (static
+  maps) or once the dynamic instruction count reaches a scheduled value
+  (the overlay planner's phase boundaries).
 """
 
 from __future__ import annotations
@@ -37,22 +38,18 @@ _reference_loop = False
 class TransferAction:
     """One scheduled DMA action.
 
-    ``kind`` is ``"map"`` or ``"unmap"``.  Triggering, in priority order:
-
-    * both triggers ``None`` — fire before execution starts (static map),
-    * ``trigger_pc`` — fire when that code address is first executed
-      (``once=False`` re-fires on every execution),
-    * ``trigger_instruction`` — fire once the dynamic instruction count
-      reaches the given value (the overlay planner's phase boundaries).
+    ``kind`` is ``"map"`` or ``"unmap"``.  With no
+    ``trigger_instruction`` the action fires before execution starts (a
+    static map, the online phase's placement); otherwise it fires once
+    the dynamic instruction count reaches that value (the overlay
+    planner's phase boundaries, the only mid-run transfers).
     """
 
     kind: str
     home_address: int
     size: int = 0
     spm_address: int = 0
-    trigger_pc: Optional[int] = None
     trigger_instruction: Optional[int] = None
-    once: bool = True
     write_back: bool = True
 
 
@@ -64,15 +61,7 @@ class TransferSchedule:
 
     def static_actions(self):
         return [action for action in self.actions
-                if action.trigger_pc is None
-                and action.trigger_instruction is None]
-
-    def triggered_actions(self):
-        triggers = {}
-        for action in self.actions:
-            if action.trigger_pc is not None:
-                triggers.setdefault(action.trigger_pc, []).append(action)
-        return triggers
+                if action.trigger_instruction is None]
 
     def timed_actions(self):
         """Instruction-count-triggered actions, in firing order."""
@@ -140,12 +129,8 @@ class Machine:
         self.cpu = Cpu(_data_access_of(self.memory), events=self.events)
         stats = self.cpu.stats
         self.events.clock = lambda: stats.cycles
-        self._fired_triggers = set()
-        self._triggers = self.schedule.triggered_actions()
         self._timed = self.schedule.timed_actions()
         self._timed_index = 0
-        self._hooks = []  # sorted (instruction_count, callback) pairs
-        self._exact_windows = []  # (start, end) instruction-count ranges
         self._load_program()
         self._reset_cpu()
 
@@ -189,31 +174,6 @@ class Machine:
                                     access_type=AccessType.FETCH)
         return result.cycles
 
-    # --- instrumentation hooks ---------------------------------------------------
-
-    def at_instruction(self, count, callback):
-        """Invoke ``callback(machine)`` once, immediately before the
-        instruction with dynamic index ``count`` executes (i.e. when the
-        retired-instruction counter reaches ``count``).  The fault
-        injector and scrubbing models use this to act at exact points in
-        the dynamic stream; the fast engine falls back to the reference
-        loop around due hooks so firing points are engine-invariant."""
-        self._hooks.append((count, callback))
-        self._hooks.sort(key=lambda hook: hook[0])
-
-    def add_exact_window(self, start, end):
-        """Declare that instructions with dynamic indices in
-        ``[start, end)`` need exact per-cycle execution (the fast engine
-        single-steps them through the reference loop).  Harmless under
-        the reference engine, which is always exact."""
-        self._exact_windows.append((start, end))
-
-    def _check_hooks(self):
-        while (self._hooks
-               and self._hooks[0][0] <= self.cpu.stats.instructions):
-            _, callback = self._hooks.pop(0)
-            callback(self)
-
     # --- execution -------------------------------------------------------------------
 
     def step(self):
@@ -223,10 +183,7 @@ class Machine:
         if pc == EXIT_ADDRESS:
             cpu.halted = True
             return False
-        self._check_triggers(pc)
         self._check_timed_triggers()
-        if self._hooks:
-            self._check_hooks()
         instruction = self.program.instruction_at(pc)
         if instruction is None:
             raise IllegalInstructionError(
@@ -246,17 +203,6 @@ class Machine:
             self._timed_index += 1
             self._perform(action)
 
-    def _check_triggers(self, pc):
-        actions = self._triggers.get(pc)
-        if not actions:
-            return
-        for index, action in enumerate(actions):
-            key = (pc, index)
-            if action.once and key in self._fired_triggers:
-                continue
-            self._fired_triggers.add(key)
-            self._perform(action)
-
     def _fast_engine(self):
         """A fast engine for this machine, built per call.
 
@@ -267,8 +213,7 @@ class Machine:
         from .fastpath import FastEngine
         return FastEngine(self)
 
-    def run(self, max_instructions=DEFAULT_INSTRUCTION_LIMIT,
-            apply_schedule=True):
+    def run(self, max_instructions=DEFAULT_INSTRUCTION_LIMIT):
         """Run to HALT / main-return; returns a :class:`RunResult`.
 
         When :mod:`repro.obs` is enabled the run is wrapped in a
@@ -278,8 +223,7 @@ class Machine:
         Disabled, the cost is this one flag check — nothing per event.
         """
         reference = _reference_loop
-        if apply_schedule:
-            self.apply_static_schedule()
+        self.apply_static_schedule()
         cpu = self.cpu
         run_span = obs.span("sim.run", category="sim", attrs={
             "engine": "reference" if reference else "fast",
@@ -314,7 +258,7 @@ class Machine:
     def runtime_seconds(self):
         return self.cpu.stats.cycles * self.config.cycle_time
 
-    def dynamic_energy(self, include_dma=True, include_offchip=False):
+    def dynamic_energy(self, include_offchip=False):
         """Total dynamic energy of the on-chip memory structures.
 
         Figure 7 compares SPM structures, so by default the off-chip DRAM
@@ -324,8 +268,7 @@ class Machine:
         for device in self.memory.spm_devices():
             total += device.stats.dynamic_energy
         total += self.memory.cache.stats.accesses_stats.dynamic_energy
-        if include_dma:
-            total += self.dma.total_energy
+        total += self.dma.total_energy
         if include_offchip:
             total += self.memory.dram.stats.dynamic_energy
         return total

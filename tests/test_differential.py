@@ -19,10 +19,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import baseline_sram_config
 from repro.core.online import schedule_for_plan
+from repro.isa import assemble
+from repro.mem.hierarchy import ISPM_BASE
 from repro.pipeline.context import EvaluationContext
 from repro.pipeline.keys import profile_fingerprint
-from repro.profile.profiler import profile_program
+from repro.profile.blocks import enumerate_blocks
+from repro.profile.columns import ProfileRecorder
+from repro.profile.profiler import (
+    BlockStats,
+    Profiler,
+    _shrink_stack_block,
+    profile_program,
+)
 from repro.sim.diffcheck import (
     ENGINES,
     assert_source_equivalent,
@@ -30,6 +40,7 @@ from repro.sim.diffcheck import (
     engine_scope,
     reference_engine,
 )
+from repro.sim.machine import Machine, TransferSchedule
 from repro.tech.nvsim_lite import energy_models_for
 from repro.workloads.kernels import kernel_names
 from repro.workloads.synthetic import mibench_names
@@ -193,6 +204,88 @@ def test_illegal_fetch_error_path_matches():
 def test_unmapped_access_error_path_matches():
     assert_source_equivalent(
         wrap(["mvn r0, #0", "ldr r1, [r0]"]), max_instructions=500)
+
+
+# --- the mixed fetch route ---------------------------------------------------
+
+# The block from ``main`` (and, on every later trip, the one from
+# ``loop``) runs straight on to ``blt``; the static map moves two of its
+# instructions into the I-SPM, so one block fetches through the cache,
+# the SPM, and the cache again.
+_MIXED_SOURCE = """\
+.text
+.func main
+main:   ldr r8, =buffer
+        mov r0, #0
+loop:   ldr r2, [r8, #4]
+        add r2, r2, r0
+        str r2, [r8, #4]
+        ldrb r3, [r8, #9]
+        add r3, r3, #1
+        add r0, r0, #1
+        cmp r0, #40
+        blt loop
+after:  halt
+.endfunc
+
+.data
+buffer: .word 0, 0, 0, 0
+"""
+
+
+@pytest.fixture(scope="module")
+def mixed_run():
+    """``(program, config, schedule)``: a static map whose edges fall
+    inside the straight-line loop body."""
+    program = assemble(_MIXED_SOURCE)
+    schedule = TransferSchedule().add_static_map(
+        program.symbol("loop") + 8, 8, ISPM_BASE)
+    return program, baseline_sram_config(), schedule
+
+
+def test_mixed_route_block_matches_reference(mixed_run):
+    program, config, schedule = mixed_run
+    machine = Machine(program, config, schedule=schedule)
+    machine.apply_static_schedule()
+    for start in (program.symbol("main"), program.symbol("loop")):
+        assert machine.memory.constant_fetch_route(
+            start, program.symbol("after") - start) == ("mixed",)
+    models = energy_models_for(config)
+    for trace in (False, True):
+        report = compare_engines(program, config, schedule=schedule,
+                                 energy_models=models, trace=trace)
+        assert report.matches, report.explain()
+    # both the I-SPM and the cache served fetches of the one block
+    devices = report.fast["devices"]
+    assert devices["ispm-secded"]["reads"] == 2 * 40
+    assert report.fast["cache"]["stats"]["reads"] > 40
+
+
+def _column_profile(program, config, schedule):
+    """What :func:`profile_program` folds, on a scheduled machine."""
+    blocks = enumerate_blocks(program)
+    machine = Machine(program, config, schedule=schedule)
+    recorder = ProfileRecorder(blocks, program.stack_top).attach(machine)
+    machine.run()
+    fields, stack_low = recorder.finish(machine.cpu.stats.cycles)
+    stats = {block.name: BlockStats(block, **fields[block.name])
+             for block in blocks}
+    _shrink_stack_block(stats, stack_low)
+    return stats
+
+
+def test_mixed_route_columns_match_live_profiler(mixed_run):
+    program, config, schedule = mixed_run
+    machine = Machine(program, config, schedule=schedule)
+    profiler = Profiler(machine).attach()
+    machine.run()
+    oracle = profiler.finish().blocks
+    columns = _column_profile(program, config, schedule)
+    assert list(columns) == list(oracle)
+    for name, expected in oracle.items():
+        assert (dataclasses.asdict(columns[name])
+                == dataclasses.asdict(expected)), name
+    assert oracle["main"].reads == 2 + 8 * 40 + 1
 
 
 # --- differential fuzzing ----------------------------------------------------

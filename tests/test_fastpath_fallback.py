@@ -1,27 +1,19 @@
-"""Fast-engine fallback handoffs under mid-run intervention.
+"""Fast-engine fallback handoffs around mid-run DMA.
 
-The fast engine retires whole predecoded blocks; everything that must
-happen *between* two specific instructions — instruction-count DMA
-triggers, fault-injection hooks, scrubbing epochs, exact-execution
-windows — forces it to hand off to the reference step loop and resume
-block execution afterwards.  These tests drive each handoff and assert
-the digests stay byte-identical, including the CPU cycle counter *at
-the moment the intervention fires* (the scrubbing test stamps it into
-memory, so a single mistimed cycle diverges the memory hash).
+The fast engine retires whole predecoded blocks; a transfer that must
+happen *between* two specific instructions — an instruction-count DMA
+trigger, the overlay planner's phase boundary — forces it to hand off
+to the reference step loop and resume block execution afterwards.
+These tests drive that handoff mid-block and assert the digests stay
+byte-identical, and that the obs hot-spot subscriber's attribution
+survives it.
 """
 
 import pytest
 
 from repro.config import baseline_sram_config
-from repro.pipeline.context import EvaluationContext
-from repro.core.online import schedule_for_plan
 from repro.isa import assemble
-from repro.sim.diffcheck import (
-    DiffReport,
-    compare_engines,
-    engine_scope,
-    run_with_engine,
-)
+from repro.sim.diffcheck import compare_engines, engine_scope, run_with_engine
 from repro.sim.machine import TransferAction, TransferSchedule
 from repro.mem.hierarchy import DSPM_BASE
 from repro.tech.nvsim_lite import energy_models_for
@@ -58,18 +50,11 @@ def loop_program():
     return assemble(_LOOP_SOURCE)
 
 
-@pytest.fixture(scope="module")
-def context():
-    return EvaluationContext()
-
-
-def _buffer_schedule(program, trigger_instruction=None, trigger_pc=None,
-                     unmap_at=None):
+def _buffer_schedule(program, trigger_instruction, unmap_at=None):
     """Map the loop's buffer into the DSPM mid-run (and maybe back)."""
     actions = [TransferAction(
         kind="map", home_address=program.symbol("buffer"), size=32,
-        spm_address=DSPM_BASE, trigger_instruction=trigger_instruction,
-        trigger_pc=trigger_pc)]
+        spm_address=DSPM_BASE, trigger_instruction=trigger_instruction)]
     if unmap_at is not None:
         actions.append(TransferAction(
             kind="unmap", home_address=program.symbol("buffer"),
@@ -93,111 +78,6 @@ def test_timed_dma_fires_mid_block(loop_program):
                                 schedule=schedule,
                                 energy_models=energy_models_for(config))
     assert unscheduled != scheduled
-
-
-def test_pc_triggered_dma_breaks_blocks(loop_program):
-    """A trigger_pc on the loop head must fire on first execution under
-    both engines (the fast engine breaks decoded blocks at trigger
-    addresses so the pc check stays per-instruction-exact)."""
-    config = baseline_sram_config()
-    schedule = _buffer_schedule(loop_program,
-                                trigger_pc=loop_program.symbol("loop"))
-    report = compare_engines(loop_program, config, schedule=schedule,
-                             energy_models=energy_models_for(config))
-    assert report.matches, report.explain()
-
-
-def _flip_bit(symbol, offset):
-    def callback(machine):
-        address = machine.program.symbol(symbol) + offset
-        byte = machine.memory.peek_bytes(address, 1)[0]
-        machine.memory.poke_bytes(address, bytes([byte ^ 0x01]))
-    return callback
-
-
-def test_mid_block_injection_handoff(context):
-    """Bit flips injected at exact dynamic instruction counts into a
-    placed FTSPM kernel: the corrupted results (and every downstream
-    counter) must be identical across engines — and visibly different
-    from the clean run, or the injection never happened."""
-    build = context.kernel_build("crc32")
-    profile = context.profile_of(build.program)
-    config, plan, _ = context.plan(profile, "ftspm")
-    schedule = schedule_for_plan(plan, profile)
-    models = energy_models_for(config)
-
-    def setup(machine):
-        machine.at_instruction(500, _flip_bit("stream_buffer", 3))
-        machine.at_instruction(1500, _flip_bit("stream_buffer", 17))
-
-    clean = run_with_engine(build.program, config, "reference",
-                            schedule=schedule, energy_models=models)
-    injected = run_with_engine(build.program, config, "reference",
-                               schedule=schedule, energy_models=models,
-                               setup=setup)
-    assert clean != injected
-    report = compare_engines(build.program, config, schedule=schedule,
-                             energy_models=models, setup=setup)
-    assert report.matches, report.explain()
-
-
-def _scrub_epoch(slot):
-    """Scrub one buffer word (read + write back) and stamp the current
-    cycle counter into a spare word: a hook firing even one cycle early
-    or late under either engine changes the memory hash."""
-    def callback(machine):
-        base = machine.program.symbol("buffer")
-        machine.memory.poke_bytes(base + 4, machine.memory.peek_bytes(
-            base + 4, 4))
-        stamp = machine.cpu.stats.cycles & 0xFFFF_FFFF
-        machine.memory.poke_bytes(base + 12 + 4 * slot,
-                                  stamp.to_bytes(4, "little"))
-    return callback
-
-
-def test_scrubbing_epochs_are_cycle_exact(loop_program):
-    config = baseline_sram_config()
-
-    def setup(machine):
-        for slot, count in enumerate([50, 137, 1001, 2003]):
-            machine.at_instruction(count, _scrub_epoch(slot))
-
-    report = compare_engines(loop_program, config, setup=setup)
-    assert report.matches, report.explain()
-    # The stamps must land in memory, or cycle-exactness went untested.
-    plain = run_with_engine(loop_program, config, "reference")
-    stamped = run_with_engine(loop_program, config, "reference",
-                              setup=setup)
-    assert plain["memory_sha256"] != stamped["memory_sha256"]
-
-
-def test_exact_window_spans_dma_and_hooks(loop_program):
-    """An exact-execution window overlapping both a timed DMA map and an
-    injection hook: the fast engine single-steps the whole window and
-    re-enters block mode afterwards with identical state."""
-    config = baseline_sram_config()
-    schedule = _buffer_schedule(loop_program, trigger_instruction=137)
-
-    def setup(machine):
-        machine.add_exact_window(100, 220)
-        machine.at_instruction(150, _flip_bit("buffer", 5))
-
-    report = compare_engines(loop_program, config, schedule=schedule,
-                             energy_models=energy_models_for(config),
-                             setup=setup)
-    assert report.matches, report.explain()
-
-
-def test_exact_window_is_semantically_invisible(loop_program):
-    """Windows only change *how* instructions retire, never the result:
-    a windowed fast run equals an unwindowed reference run."""
-    config = baseline_sram_config()
-    reference = run_with_engine(loop_program, config, "reference")
-    windowed = run_with_engine(
-        loop_program, config, "fast",
-        setup=lambda machine: machine.add_exact_window(100, 2000))
-    report = DiffReport(reference, windowed)
-    assert report.matches, report.explain()
 
 
 def test_sim_profiler_attribution_survives_handoffs(loop_program):

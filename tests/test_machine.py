@@ -8,7 +8,7 @@ import pytest
 from conftest import read_word, register, run_source
 from repro import Machine, assemble, baseline_sram_config, ftspm_config
 from repro.mem.hierarchy import DSPM_BASE, ISPM_BASE
-from repro.sim.machine import TransferAction, TransferSchedule
+from repro.sim.machine import TransferSchedule
 from repro.workloads.kernels import kernel_program
 
 _SOURCE = """
@@ -68,23 +68,6 @@ def test_static_schedule_maps_block_before_start():
     # the parity region (first D-SPM region) absorbed the table reads
     parity = machine.memory.data_spm.region_named("dspm-parity")
     assert parity.stats.reads == 8
-
-
-def test_triggered_transfer_fires_once():
-    program = assemble(_SOURCE)
-    loop_address = None
-    for address, instruction in program.iter_instructions():
-        if instruction.label == "loop":
-            loop_address = address
-            break
-    schedule = TransferSchedule()
-    schedule.actions.append(TransferAction(
-        "map", program.symbol("table"), 32, DSPM_BASE,
-        trigger_pc=loop_address))
-    machine = Machine(program, ftspm_config(), schedule=schedule)
-    machine.run()
-    assert len(machine.dma.records) == 1
-    assert read_word(machine, "result") == 36
 
 
 def test_unmap_writes_back_dirty_data():
