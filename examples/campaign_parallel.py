@@ -15,11 +15,8 @@ import json
 import shutil
 import tempfile
 
-from repro.campaign import (
-    CampaignRunner,
-    CampaignSpec,
-    analytic_vulnerability,
-)
+from repro.campaign import CampaignRunner, CampaignSpec
+from repro.pipeline import get_context
 from repro.workloads import synthetic_profile
 
 
@@ -47,7 +44,7 @@ def main():
     # 1. measured vs analytic -------------------------------------------
     serial = CampaignRunner(spec, jobs=1).run()
     interval = serial.interval("harmful")
-    analytic = analytic_vulnerability(profile, "ftspm")
+    analytic = get_context().evaluation(profile, "ftspm").vulnerability
     print("\nmeasured vulnerability: %s" % interval)
     print("analytic vulnerability: %.5f  (CI brackets it: %s)"
           % (analytic, "yes" if interval.brackets(analytic) else "NO"))

@@ -41,7 +41,7 @@ from .scheduler import (
     drain_on_signals,
 )
 from .seeding import spawn_seed, spawn_seeds
-from .spec import DEFAULT_SHARD_SIZE, CampaignSpec, analytic_vulnerability
+from .spec import DEFAULT_SHARD_SIZE, CampaignSpec
 from .stats import ConfidenceInterval, wilson_interval, z_value
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "ShardListener",
     "ShardRecord",
     "ShardScheduler",
-    "analytic_vulnerability",
     "drain_on_signals",
     "execute_shard",
     "shard_worker",

@@ -70,10 +70,6 @@ class StrikeSurface:
     def target_count(self):
         return len(self.names)
 
-    @property
-    def occupied_bytes(self):
-        return int(self.ends[-1]) if len(self.ends) else 0
-
     def target_of(self, points):
         """Vectorized point-to-target lookup (sentinel index = empty)."""
         return np.searchsorted(self.ends, points, side="right")

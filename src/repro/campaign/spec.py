@@ -7,14 +7,10 @@ JSON-serializable (for the run-directory manifest), and hashable via
 :meth:`fingerprint` so a resumed run can prove it matches the checkpoint
 it is resuming.
 
-Two surface readings are supported, matching the two analytic models in
-:mod:`repro.faults.avf`:
-
-* :meth:`from_entries` — the block-level ``avf_entries`` reading used by
-  ``repro inject`` (counterpart of ``vulnerability_of_placement``),
-* :meth:`from_structure` — the region-surface reading of Fig. 5
-  (counterpart of ``region_surface_vulnerability``), whose measured
-  harmful rate is directly comparable to the figure's analytic value.
+:meth:`from_structure` builds the surface from the region-surface
+reading of Fig. 5 (:func:`repro.faults.region_surface_vulnerability`),
+so a campaign's measured harmful rate is directly comparable to the
+figure's analytic value.
 """
 
 from __future__ import annotations
@@ -62,21 +58,6 @@ class CampaignSpec:
     # --- construction -----------------------------------------------------------
 
     @classmethod
-    def from_entries(cls, entries, total_spm_bytes, total_cycles,
-                     trials, seed=0xF7F7, shard_size=DEFAULT_SHARD_SIZE,
-                     mbu=None):
-        """Block-level surface: ``(block_stats, protection)`` pairs, the
-        same input :func:`repro.faults.vulnerability_of_placement`
-        takes."""
-        targets = []
-        for stats, protection in entries:
-            ace = (min(1.0, stats.ace_cycles / total_cycles)
-                   if total_cycles > 0 else 0.0)
-            targets.append(Target(stats.name, protection, stats.size, ace))
-        return cls._build(targets, total_spm_bytes, trials, seed,
-                          shard_size, mbu)
-
-    @classmethod
     def from_structure(cls, profile, structure, trials, seed=0xF7F7,
                        shard_size=DEFAULT_SHARD_SIZE):
         """Region-surface reading of Fig. 5 for one (workload, structure).
@@ -93,22 +74,13 @@ class CampaignSpec:
         config, plan, _ = get_context().plan(profile, structure)
         mbu, breakdown = surface_vulnerability(plan, profile, structure,
                                                config)
-        targets = []
-        total = 0
-        for block in breakdown.blocks:
-            slot = plan.slots[block.name]
-            targets.append(Target(block.name, slot.protection,
-                                  slot.size, block.ace_fraction))
-            total += slot.size
-        return cls._build(targets, total, trials, seed, shard_size, mbu)
-
-    @classmethod
-    def _build(cls, targets, total_spm_bytes, trials, seed, shard_size,
-               mbu):
-        mbu = mbu or MbuDistribution.for_node(40)
+        targets = tuple(
+            Target(region.name, region.protection,
+                   plan.slots[region.name].size, region.ace_fraction)
+            for region in breakdown.regions)
         return cls(
-            targets=tuple(targets),
-            total_spm_bytes=total_spm_bytes,
+            targets=targets,
+            total_spm_bytes=sum(target.size for target in targets),
             trials=trials,
             seed=seed,
             shard_size=shard_size,
@@ -203,12 +175,3 @@ class CampaignSpec:
         canonical = json.dumps(self.to_manifest(), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()
 
-
-def analytic_vulnerability(profile, structure):
-    """The Fig. 5 analytic value a measured campaign is validated against."""
-    from ..eval.structures import surface_vulnerability
-    from ..pipeline import get_context
-
-    config, plan, _ = get_context().plan(profile, structure)
-    return surface_vulnerability(plan, profile, structure,
-                                 config)[1].vulnerability

@@ -6,8 +6,7 @@ Subcommands::
     ftspm profile WORKLOAD                     Table I-style profile
     ftspm map WORKLOAD [--mode MODE]           MDA placement (Table II)
     ftspm run WORKLOAD [--structure S]         full simulation + metrics
-    ftspm inject WORKLOAD [--trials N]         Monte-Carlo fault injection
-    ftspm campaign WORKLOAD [--jobs N]         parallel, resumable campaign
+    ftspm campaign WORKLOAD [--jobs N]         parallel, resumable injection
     ftspm serve [--port P] [--workers N]       async HTTP job service
     ftspm submit KIND WORKLOAD [--param k=v]   submit a job to 'serve'
     ftspm runs list|show|compare [...]         query the run ledger
@@ -257,36 +256,6 @@ def _cmd_run(args):
     return 0
 
 
-def _print_injection_counts(result):
-    print("trials:           {:,}".format(result.trials))
-    print("benign (immune):  {:,}".format(result.benign_immune))
-    print("benign (empty):   {:,}".format(result.benign_empty))
-    print("benign (dead):    {:,}".format(result.benign_dead))
-    print("no effect:        {:,}".format(result.none))
-    print("DRE (recovered):  {:,}".format(result.dre))
-    print("DUE (detected):   {:,}".format(result.due))
-    print("SDC (silent):     {:,}".format(result.sdc))
-    print("measured vulnerability: %.5f" % result.vulnerability)
-
-
-def _cmd_inject(args):
-    from .campaign import CampaignRunner, CampaignSpec
-
-    _, profile = _resolve_workload(
-        args.workload, args.array_words, args.outer_iterations, args.scale)
-    _, plan, _ = get_context().plan(profile, args.structure)
-    spec = CampaignSpec.from_entries(
-        plan.avf_entries(profile), plan.total_spm_bytes(),
-        profile.total_cycles, trials=args.trials, seed=args.seed)
-    summary = CampaignRunner(spec, jobs=args.jobs).run()
-    _print_injection_counts(summary.result)
-    interval = summary.interval("harmful")
-    print("95%% Wilson CI:    [%.5f, %.5f]" % (interval.low, interval.high))
-    print("jobs/shards:      %d/%d (%d failed)" % (
-        args.jobs, spec.shard_count, len(summary.failed_shards)))
-    return 0
-
-
 def _print_campaign_plan(args, spec):
     """--dry-run: the complete shard plan, without running a trial."""
     from .campaign.batch.surface import StrikeSurface
@@ -310,7 +279,6 @@ def _cmd_campaign(args):
         CampaignRunner,
         CampaignSpec,
         ProgressPrinter,
-        analytic_vulnerability,
         drain_on_signals,
     )
 
@@ -337,7 +305,8 @@ def _cmd_campaign(args):
     print(summary.shard_table())
     print()
     interval = summary.interval("harmful")
-    analytic = analytic_vulnerability(profile, args.structure)
+    analytic = get_context().evaluation(profile,
+                                        args.structure).vulnerability
     print("measured vulnerability: %s" % interval)
     print("analytic vulnerability: %.5f (Fig. 5 region-surface value)"
           % analytic)
@@ -986,18 +955,6 @@ def build_parser():
     p_run.add_argument("--structure", default="ftspm",
                        choices=sorted(STRUCTURES))
     p_run.set_defaults(func=_cmd_run)
-
-    p_inject = sub.add_parser("inject", help="Monte-Carlo fault injection")
-    _add_workload_arguments(p_inject)
-    p_inject.add_argument("--structure", default="ftspm",
-                          choices=sorted(STRUCTURES))
-    p_inject.add_argument("--trials", type=int, default=100_000)
-    p_inject.add_argument("--seed", type=int, default=0xF7F7)
-    p_inject.add_argument("--jobs", type=int, default=1,
-                          help="worker processes for shard execution "
-                               "(counts are identical for any value)")
-    _add_obs_arguments(p_inject)
-    p_inject.set_defaults(func=_cmd_inject)
 
     p_campaign = sub.add_parser(
         "campaign",

@@ -4,7 +4,7 @@ A :class:`MappingPlan` is the MDA's output (Table II of the paper): for
 every program block, whether it is mapped and into which region, plus the
 concrete SPM offset chosen for it.  Plans know how to
 
-* enumerate ``(block_stats, protection)`` pairs for the AVF model,
+* list the blocks each region holds, whose ACE time the AVF model reads,
 * compute per-region occupancy,
 * lower themselves into the transfer schedule executed by the machine.
 """
@@ -189,18 +189,6 @@ class MappingPlan:
         """
         return {name: assignment.region_name
                 for name, assignment in self.assignments.items()}
-
-    def total_spm_bytes(self):
-        return sum(slot.size for slot in self.slots.values())
-
-    def avf_entries(self, profile):
-        """``(block_stats, protection)`` pairs for the AVF model."""
-        entries = []
-        for assignment in self.mapped_blocks():
-            stats = profile.get(assignment.block_name)
-            entries.append(
-                (stats, self._slot(assignment.region_name).protection))
-        return entries
 
     # --- reporting (Table II) ------------------------------------------------------
 

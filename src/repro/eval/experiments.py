@@ -341,10 +341,11 @@ def experiment_fig5(measured_trials=0, measured_jobs=1,
     """Fig. 5: vulnerability of FTSPM vs the pure SRAM baseline.
 
     With ``measured_trials > 0`` every FTSPM value is cross-checked by a
-    Monte-Carlo campaign (:mod:`repro.campaign`) through the real codecs:
-    two extra columns carry the measured rate with its 95% Wilson CI,
-    and ``data["measured"]`` records whether each CI brackets the
-    analytic value.
+    Monte-Carlo campaign (:mod:`repro.campaign`) on the same region
+    surface, classified by the batch evaluator's closed-form codec
+    outcomes: two extra columns carry the measured rate with its 95%
+    Wilson CI, and ``data["measured"]`` records whether each CI brackets
+    the analytic value.
     """
     headers = ["Benchmark", "FTSPM", "Pure SRAM", "Ratio (SRAM/FTSPM)"]
     if measured_trials:

@@ -5,7 +5,7 @@ Implements the paper's reliability methodology:
 * the **analytic AVF model** (equations (1)–(7)): per-region SDC/DUE
   probabilities from the multiplicity distribution of particle-strike
   bit flips (Dixit & Wood's 62/25/6/7 % at 40 nm), weighted by each
-  block's ACE time and area share,
+  data-SPM region's area share and ACE-weighted utilization (Fig. 5),
 * the **error-vector kernel** every Monte-Carlo path shares: the
   clustered strike draw (:func:`~repro.faults.mbu.draw_clusters`) and
   the closed-form codec outcomes of an accumulated error vector
@@ -23,7 +23,6 @@ from .avf import (
     VulnerabilityBreakdown,
     region_error_probabilities,
     region_surface_vulnerability,
-    vulnerability_of_placement,
 )
 from .injector import CampaignResult, Target
 from .scrubbing import AccumulationCampaign, AccumulationResult
@@ -34,7 +33,6 @@ __all__ = [
     "VulnerabilityBreakdown",
     "region_error_probabilities",
     "region_surface_vulnerability",
-    "vulnerability_of_placement",
     "CampaignResult",
     "Target",
     "AccumulationCampaign",

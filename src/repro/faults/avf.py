@@ -14,12 +14,13 @@ distribution::
     SDC(parity)  = P(>= 2 bits)                                  (6)
     SDC(SEC-DED) = P(>= 3 bits)                                  (7)
 
-STT-RAM regions contribute nothing (immune).  Each block's weight is its
-ACE-time fraction multiplied by its share of the SPM surface (a strike
-lands uniformly over the array area), which also reproduces the paper's
-observation that the uniform all-SEC-DED baseline is nearly workload-
+A strike lands uniformly over the data-SPM surface, so each region's
+weight is its share of that surface multiplied by its ACE-weighted
+utilization; STT-RAM regions contribute nothing (immune).  This is the
+one vulnerability reading (Fig. 5): it reproduces the paper's
+observation that the uniform all-SEC-DED baseline is workload-
 independent while FTSPM's vulnerability tracks how little of its surface
-is SRAM.
+is live SRAM.
 """
 
 from __future__ import annotations
@@ -70,9 +71,15 @@ def region_error_probabilities(protection, mbu=None):
     raise FaultInjectionError("unknown protection %r" % protection)
 
 
+#: Block-granular ACE underestimates word-level liveness (a single live
+#: word keeps its whole access gap vulnerable), so occupied bytes never
+#: count below this utilization.
+ACE_FLOOR = 0.3
+
+
 @dataclass
-class BlockVulnerability:
-    """One block's contribution to the scenario vulnerability."""
+class RegionVulnerability:
+    """One data-SPM region's contribution to the vulnerability."""
 
     name: str
     protection: Protection
@@ -88,11 +95,11 @@ class BlockVulnerability:
 
 @dataclass
 class VulnerabilityBreakdown:
-    """Equation (1) plus its per-block decomposition."""
+    """Equation (1) plus its per-region decomposition."""
 
     sdc_avf: float = 0.0
     due_avf: float = 0.0
-    blocks: list = field(default_factory=list)
+    regions: list = field(default_factory=list)
 
     @property
     def vulnerability(self):
@@ -104,30 +111,26 @@ class VulnerabilityBreakdown:
         return 1.0 - self.vulnerability
 
 
-def region_surface_vulnerability(plan, profile, mbu=None, uniform=False,
-                                 spm_name=None, ace_floor=0.3):
-    """Region-surface reading of equations (1)–(3) — the paper's Fig. 5.
+def region_surface_vulnerability(plan, profile, mbu=None, uniform=False):
+    """Equations (1)–(3) over the data-SPM region surface (Fig. 5).
 
-    A strike lands uniformly over the data-SPM surface; each *region*
+    A strike lands uniformly over the D-SPM surface; each *region*
     contributes ``area_share x utilization x harmful_probability`` where
     utilization is the ACE-time-weighted fraction of the region holding
-    live data.  With ``uniform=True`` every region is treated as fully
-    utilized — the paper's reading of the homogeneous SEC-DED baseline,
-    which makes its vulnerability the workload-independent constant
+    live data, never below :data:`ACE_FLOOR` per occupied byte.  With
+    ``uniform=True`` every region is treated as fully utilized — the
+    paper's reading of the homogeneous SEC-DED baseline, which makes its
+    vulnerability the workload-independent constant
     ``P(2 bits) + P(>= 3 bits)`` (~0.38 at 40 nm) and its Section IV
-    "reliability" the quoted 62%.
-
-    ``spm_name`` restricts the surface (default: the data SPM, matching
-    the paper's D-SPM focus; the instruction SPM is all-STT-RAM in FTSPM
-    and is reported separately when desired).
+    "reliability" the quoted 62%.  The instruction SPM is all-STT-RAM in
+    FTSPM and is not part of the surface.
     """
     mbu = mbu or MbuDistribution.for_node(40)
-    spm_name = spm_name or "D-SPM"
     slots = [slot for slot in plan.slots.values()
-             if slot.spm_name == spm_name]
+             if slot.spm_name == "D-SPM"]
     total_area = sum(slot.size for slot in slots)
     if total_area <= 0:
-        raise FaultInjectionError("SPM %r has no surface" % spm_name)
+        raise FaultInjectionError("the data SPM has no surface")
     breakdown = VulnerabilityBreakdown()
     total_cycles = profile.total_cycles
     for slot in slots:
@@ -135,18 +138,15 @@ def region_surface_vulnerability(plan, profile, mbu=None, uniform=False,
         if uniform:
             utilization = 1.0
         else:
-            # Block-granular ACE underestimates word-level liveness (a
-            # single live word keeps its whole access gap vulnerable), so
-            # occupied bytes never count below ``ace_floor``.
             live = 0.0
             for assignment in plan.blocks_in_region(slot.name):
                 stats = profile.get(assignment.block_name)
                 ace = (min(1.0, stats.ace_cycles / total_cycles)
                        if total_cycles > 0 else 0.0)
-                live += stats.size * max(ace, ace_floor)
+                live += stats.size * max(ace, ACE_FLOOR)
             utilization = min(1.0, live / slot.size)
         weight = (slot.size / total_area) * utilization
-        block = BlockVulnerability(
+        region = RegionVulnerability(
             name=slot.name,
             protection=slot.protection,
             area_fraction=slot.size / total_area,
@@ -154,43 +154,7 @@ def region_surface_vulnerability(plan, profile, mbu=None, uniform=False,
             sdc=weight * probabilities.sdc,
             due=weight * probabilities.due,
         )
-        breakdown.sdc_avf += block.sdc
-        breakdown.due_avf += block.due
-        breakdown.blocks.append(block)
-    return breakdown
-
-
-def vulnerability_of_placement(entries, total_spm_bytes, total_cycles,
-                               mbu=None, ace_weighted=True):
-    """Evaluate equations (1)–(3) for a mapping scenario.
-
-    ``entries`` is an iterable of ``(block_stats, protection)`` pairs for
-    every block resident in the SPM; ``total_spm_bytes`` is the full SPM
-    surface a strike can hit.  With ``ace_weighted=False`` every resident
-    block is treated as vulnerable for the whole run (the conservative
-    uniform-surface reading under which the paper's baseline is constant).
-    """
-    if total_spm_bytes <= 0:
-        raise FaultInjectionError("total_spm_bytes must be positive")
-    mbu = mbu or MbuDistribution.for_node(40)
-    breakdown = VulnerabilityBreakdown()
-    for stats, protection in entries:
-        probabilities = region_error_probabilities(protection, mbu)
-        area_fraction = min(1.0, stats.size / total_spm_bytes)
-        if ace_weighted and total_cycles > 0:
-            ace_fraction = min(1.0, stats.ace_cycles / total_cycles)
-        else:
-            ace_fraction = 1.0
-        weight = area_fraction * ace_fraction
-        block = BlockVulnerability(
-            name=stats.name,
-            protection=protection,
-            area_fraction=area_fraction,
-            ace_fraction=ace_fraction,
-            sdc=weight * probabilities.sdc,
-            due=weight * probabilities.due,
-        )
-        breakdown.sdc_avf += block.sdc
-        breakdown.due_avf += block.due
-        breakdown.blocks.append(block)
+        breakdown.sdc_avf += region.sdc
+        breakdown.due_avf += region.due
+        breakdown.regions.append(region)
     return breakdown

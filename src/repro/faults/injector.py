@@ -30,13 +30,13 @@ class CampaignResult:
     trials: int = 0
     benign_immune: int = 0  # strike on STT-RAM (immune cells)
     benign_empty: int = 0  # strike on unoccupied SPM space
-    benign_dead: int = 0  # strike outside the block's ACE window
+    benign_dead: int = 0  # strike outside the target's ACE window
     none: int = 0  # hit live data but decoded clean & intact
     dre: int = 0
     due: int = 0
     sdc: int = 0
-    #: per-block outcome breakdown of every *live* strike; keys are
-    #: block names, values map each ErrorClass to its count
+    #: per-target outcome breakdown of every *live* strike; keys are
+    #: target names, values map each ErrorClass to its count
     by_block: Dict[str, Dict[ErrorClass, int]] = field(
         default_factory=dict)
 
@@ -127,12 +127,10 @@ class CampaignResult:
 
 @dataclass(frozen=True)
 class Target:
-    """One resident surface element as seen by the injector.
-
-    Either a mapped block (the block-level ``avf_entries`` reading) or a
-    whole SPM region with a precomputed utilization (the region-surface
-    reading of Fig. 5) — the injector only needs the four fields.
-    """
+    """One stretch of the strike surface: a protection scheme, a size,
+    and an ACE-weighted utilization.  :meth:`CampaignSpec.from_structure
+    <repro.campaign.CampaignSpec.from_structure>` makes one per data-SPM
+    region (the region-surface reading of Fig. 5)."""
 
     name: str
     protection: Protection

@@ -101,7 +101,7 @@ class MemoryDevice:
     def _note_write(self, offset, size):
         """Hook for subclasses that track wear (STT-RAM endurance)."""
 
-    # --- raw access (loader, DMA bulk copy, fault injection) ------------------
+    # --- raw access (loader, DMA bulk copy) ---------------------------------
 
     def peek_bytes(self, address, size):
         offset = self._offset(address, size)
@@ -116,17 +116,6 @@ class MemoryDevice:
 
     def poke_word(self, address, value):
         self.poke_bytes(address, (value & 0xFFFFFFFF).to_bytes(4, "little"))
-
-    def flip_bits(self, address, bit_positions):
-        """Flip the given bit positions of the byte(s) starting at ``address``.
-
-        Used by the fault injector; costs no cycles and no energy.  Bit
-        positions may span multiple bytes (position 8 is bit 0 of the next
-        byte).
-        """
-        for position in bit_positions:
-            byte_index = self._offset(address + position // 8, 1)
-            self._storage[byte_index] ^= 1 << (position % 8)
 
     def leakage_energy(self, seconds):
         """Static energy burned over a window of ``seconds``."""

@@ -24,7 +24,7 @@ The layer is **off by default** and gated by one module-level flag:
   so the fast engine stays in its batched zero-publish mode
   (``benchmarks/bench_obs.py`` holds the disabled overhead under 2%),
 * the CLI flags ``--trace FILE.json`` / ``--metrics FILE`` (on
-  ``report``, ``campaign``, ``inject``, ``profile``, ``map``) enable
+  ``report``, ``campaign``, ``profile``, ``map``) enable
   the layer for one invocation and export on the way out.
 
 See ``docs/observability.md`` for the span model, metric names, and the

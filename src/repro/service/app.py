@@ -34,7 +34,6 @@ from ..campaign import (
     CampaignRunner,
     CampaignSpec,
     ShardScheduler,
-    analytic_vulnerability,
 )
 from ..campaign.seeding import SAMPLING_DISCIPLINE
 from ..core.priorities import OptimizationMode, thresholds_for_mode
@@ -502,8 +501,8 @@ class ReproService:
             "counts": summary.result.to_dict(),
             "harmful_ci": {"point": interval.point, "low": interval.low,
                            "high": interval.high},
-            "analytic_vulnerability": analytic_vulnerability(
-                profile, params["structure"]),
+            "analytic_vulnerability": self.context.evaluation(
+                profile, params["structure"]).vulnerability,
             "failed_shards": summary.failed_shards,
             "elapsed_seconds": round(summary.elapsed, 3),
         }

@@ -344,7 +344,6 @@ def test_cli_campaign_rejects_unknown_injector(capsys):
     from repro.cli import build_parser
 
     for argv in (["campaign", "sha", "--injector", "batch"],
-                 ["inject", "sha", "--injector", "trial"],
                  ["report", "--engine", "fast"],
                  ["run", "kernel:crc32", "--engine", "reference"],
                  ["diff", "--workload", "case", "--a-engine", "fast"]):

@@ -19,7 +19,6 @@ from repro.campaign import (
     CampaignSpec,
     ConfidenceInterval,
     RunDirectory,
-    analytic_vulnerability,
     spawn_seed,
     spawn_seeds,
     wilson_interval,
@@ -31,6 +30,7 @@ from repro.config import Protection
 from repro.errors import CampaignError
 from repro.faults import CampaignResult, Target
 from repro.ecc.codec import ErrorClass
+from repro.pipeline import get_context
 from repro.workloads import synthetic_profile
 
 
@@ -200,26 +200,26 @@ def test_spec_manifest_round_trip(sha_spec):
     assert rebuilt.fingerprint() == sha_spec.fingerprint()
 
 
-def test_spec_from_entries_matches_injector(sha_profile):
-    from repro.eval.structures import plan_for_structure
-    _, plan, _ = plan_for_structure(sha_profile, "ftspm")
-    entries = plan.avf_entries(sha_profile)
-    total = sha_profile.total_cycles
-    spec = CampaignSpec.from_entries(
-        entries, plan.total_spm_bytes(), total, trials=1000)
-    # one target per mapped block: its region's protection, its size,
-    # and its ACE cycles as a share of the run
-    assert total == 4_059_999
-    assert spec.targets == (
-        Target("sha_transform", Protection.IMMUNE, 2048, 1_055_599 / total),
-        Target("sha_update", Protection.IMMUNE, 512, 649_599 / total),
-        Target("message_buffer", Protection.IMMUNE, 10240,
-               1_217_999 / total),
-        Target("digest_state", Protection.PARITY, 64, 487_199 / total),
-        Target("w_schedule", Protection.SECDED, 320, 1_014_999 / total),
-        Target("Stack", Protection.PARITY, 512, 243_599 / total),
-    )
-    assert spec.total_spm_bytes == plan.total_spm_bytes() == 32 * 1024
+def test_spec_from_structure_targets(sha_profile):
+    """One target per data-SPM region: its protection, its size, and its
+    ACE-weighted utilization (each occupied byte live for at least 0.3
+    of the run); the homogeneous baselines are one fully live region."""
+    def surface(structure):
+        spec = CampaignSpec.from_structure(sha_profile, structure,
+                                           trials=1000)
+        assert spec.total_spm_bytes == 16 * 1024
+        return ([(t.name, t.protection, t.size) for t in spec.targets],
+                [t.ace_fraction for t in spec.targets])
+
+    regions, utilization = surface("ftspm")
+    assert regions == [("dspm-parity", Protection.PARITY, 2048),
+                       ("dspm-secded", Protection.SECDED, 2048),
+                       ("dspm-stt", Protection.IMMUNE, 12288)]
+    assert utilization == pytest.approx([0.084375, 0.046875, 0.25])
+    assert surface("baseline-sram") == (
+        [("dspm-secded", Protection.SECDED, 16384)], [1.0])
+    assert surface("baseline-sttram") == (
+        [("dspm-stt", Protection.IMMUNE, 16384)], [1.0])
 
 
 # --- runner determinism ------------------------------------------------------
@@ -415,7 +415,7 @@ def test_ci_brackets_fig5_analytic_ftspm(sha_profile):
         sha_profile, "ftspm", trials=60_000, seed=0xF7F7)
     summary = CampaignRunner(spec, jobs=1).run()
     interval = summary.interval("harmful")
-    analytic = analytic_vulnerability(sha_profile, "ftspm")
+    analytic = get_context().evaluation(sha_profile, "ftspm").vulnerability
     assert interval.brackets(analytic)
     assert interval.half_width < 0.01
 
@@ -425,7 +425,8 @@ def test_ci_brackets_uniform_baseline():
     spec = CampaignSpec.from_structure(
         profile, "baseline-sram", trials=30_000, seed=3)
     summary = CampaignRunner(spec, jobs=1).run()
-    analytic = analytic_vulnerability(profile, "baseline-sram")
+    analytic = get_context().evaluation(profile,
+                                        "baseline-sram").vulnerability
     assert analytic == pytest.approx(0.38)  # the paper's constant
     assert summary.interval("harmful").brackets(analytic)
 
@@ -522,23 +523,30 @@ def test_cli_campaign_resume_requires_out(capsys):
 
 
 def test_cli_inject_jobs_flag(capsys):
-    code, out, _ = run_cli(capsys, "inject", "sha",
+    """Injection runs through ``repro campaign``, whose ``--jobs`` sizes
+    the worker pool."""
+    code, out, _ = run_cli(capsys, "campaign", "sha",
                            "--trials", "4000", "--jobs", "2",
-                           "--seed", "9")
+                           "--seed", "9", "--no-progress")
     assert code == 0
     assert "Wilson CI" in out
-    assert "jobs/shards" in out
+    assert "over 2 job(s)" in out
 
 
 def test_cli_inject_one_answer_per_seed(capsys):
-    """``--jobs 1`` and ``--jobs 2`` run one campaign path, so a seed
-    prints the same counts and interval whatever the worker count."""
+    """``repro campaign --jobs 1`` and ``--jobs 2`` run one campaign
+    path, so a seed prints the same counts and interval whatever the
+    worker count; only the per-shard timings and throughput differ."""
     outputs = []
     for jobs in ("1", "2"):
-        code, out, _ = run_cli(capsys, "inject", "sha", "--trials",
-                               "20000", "--seed", "7", "--jobs", jobs)
+        code, out, _ = run_cli(capsys, "campaign", "sha", "--trials",
+                               "60000", "--seed", "7", "--jobs", jobs,
+                               "--no-progress")
         assert code == 0
-        outputs.append([line for line in out.splitlines()
-                        if not line.startswith("jobs/shards:")])
+        outcome, _, rest = out.partition("per-shard breakdown")
+        outputs.append([outcome] + [
+            line for line in rest.splitlines()
+            if line.startswith(("measured", "analytic", "CI brackets"))])
     assert outputs[0] == outputs[1]
-    assert any(line.startswith("95% Wilson CI") for line in outputs[0])
+    assert any(line.startswith("measured vulnerability")
+               for line in outputs[0])

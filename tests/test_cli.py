@@ -70,9 +70,12 @@ def test_run_profile_only_workload_fails(capsys):
 
 
 def test_inject(capsys):
-    code, out, _ = run_cli(capsys, "inject", "sha", "--trials", "5000")
-    assert code == 0
-    assert "measured vulnerability" in out
+    """Injection has one command, ``campaign``; ``inject`` is gone."""
+    with pytest.raises(SystemExit) as caught:
+        main(["inject", "sha", "--trials", "5000"])
+    assert caught.value.code == 2  # argparse usage error
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "inject" in err
 
 
 def test_disasm(capsys):

@@ -4,23 +4,42 @@ import numpy as np
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec
-from repro.config import Protection
+from repro.config import Protection, ftspm_config
+from repro.core import MappingPlan, region_slots
 from repro.errors import FaultInjectionError
 from repro.faults import (
     MbuDistribution,
+    Target,
     region_error_probabilities,
-    vulnerability_of_placement,
+    region_surface_vulnerability,
 )
+from repro.faults.avf import ACE_FLOOR
 from repro.faults.mbu import draw_clusters
 from repro.profile.blocks import BlockKind, ProgramBlock
-from repro.profile.profiler import BlockStats
+from repro.profile.profiler import BlockStats, Profile
+
+#: area share of one 2 KiB SRAM region of FTSPM's 16 KiB data SPM
+SRAM_SHARE = 2048 / (16 * 1024)
 
 
-def block_stats(name, size, ace_cycles, total=100):
+def block_stats(name, size, ace_cycles):
     stats = BlockStats(
         block=ProgramBlock(name, BlockKind.DATA, 0, size))
     stats.ace_cycles = ace_cycles
     return stats
+
+
+def surface(mbu, *placements, uniform=False):
+    """Fig. 5 reading of a hand-built FTSPM plan over a 100-cycle run;
+    ``placements`` are ``(name, size, ace_cycles, region)`` tuples."""
+    plan = MappingPlan.empty(ftspm_config())
+    blocks = {}
+    for name, size, ace_cycles, region in placements:
+        blocks[name] = block_stats(name, size, ace_cycles)
+        plan.assign(blocks[name], region)
+    profile = Profile(program=None, blocks=blocks, total_cycles=100)
+    return region_surface_vulnerability(plan, profile, mbu=mbu,
+                                        uniform=uniform)
 
 
 @pytest.fixture(scope="module")
@@ -103,80 +122,94 @@ def test_unprotected_probabilities(mbu):
     assert probs.sdc == 1.0
 
 
-# --- block-level AVF ---------------------------------------------------------------
+# --- region-surface AVF (Fig. 5) ---------------------------------------------------
 
 def test_vulnerability_weights_by_ace_and_area(mbu):
-    entries = [
-        (block_stats("a", size=1000, ace_cycles=50), Protection.SECDED),
-    ]
-    breakdown = vulnerability_of_placement(
-        entries, total_spm_bytes=10_000, total_cycles=100, mbu=mbu)
-    # 0.1 area x 0.5 ace x (0.13 + 0.25)
-    assert breakdown.vulnerability == pytest.approx(0.1 * 0.5 * 0.38)
+    breakdown = surface(mbu, ("a", 1024, 50, "dspm-secded"))
+    # 1/8 of the surface x half the region live half the run x (0.13 + 0.25)
+    assert breakdown.vulnerability == pytest.approx(
+        SRAM_SHARE * (1024 * 0.5 / 2048) * 0.38)
+    (secded,) = [region for region in breakdown.regions
+                 if region.name == "dspm-secded"]
+    assert secded.area_fraction == SRAM_SHARE
+    assert secded.ace_fraction == pytest.approx(0.25)
 
 
 def test_immune_blocks_contribute_nothing(mbu):
-    entries = [
-        (block_stats("stt", size=4000, ace_cycles=100), Protection.IMMUNE),
-    ]
-    breakdown = vulnerability_of_placement(
-        entries, 10_000, 100, mbu=mbu)
+    breakdown = surface(mbu, ("stt", 4096, 100, "dspm-stt"))
     assert breakdown.vulnerability == 0.0
 
 
 def test_reliability_complements_vulnerability(mbu):
-    entries = [
-        (block_stats("p", 5000, 100), Protection.PARITY),
-    ]
-    breakdown = vulnerability_of_placement(entries, 10_000, 100, mbu=mbu)
+    breakdown = surface(mbu, ("p", 2048, 100, "dspm-parity"))
+    assert breakdown.vulnerability == pytest.approx(SRAM_SHARE)
     assert breakdown.reliability == pytest.approx(
         1.0 - breakdown.vulnerability)
 
 
 def test_ace_weighting_can_be_disabled(mbu):
-    entries = [(block_stats("a", 1000, 10), Protection.SECDED)]
-    weighted = vulnerability_of_placement(entries, 10_000, 100, mbu=mbu)
-    unweighted = vulnerability_of_placement(entries, 10_000, 100, mbu=mbu,
-                                            ace_weighted=False)
+    placement = ("a", 1024, 10, "dspm-secded")
+    weighted = surface(mbu, placement)
+    unweighted = surface(mbu, placement, uniform=True)
     assert unweighted.vulnerability > weighted.vulnerability
+    # every region fully live: parity harms on any strike, SEC-DED on >= 2
+    assert unweighted.vulnerability == pytest.approx(
+        SRAM_SHARE * 1.0 + SRAM_SHARE * 0.38)
+
+
+def test_ace_floor_bounds_occupied_utilization(mbu):
+    """A block is live for at least ``ACE_FLOOR`` of the run however
+    short its measured ACE time; above the floor its ACE time counts."""
+    assert ACE_FLOOR == 0.3
+    floored = SRAM_SHARE * (1024 * ACE_FLOOR / 2048) * 0.38
+    for ace_cycles in (0, 10, 30):
+        breakdown = surface(mbu, ("a", 1024, ace_cycles, "dspm-secded"))
+        assert breakdown.vulnerability == pytest.approx(floored)
+    above = surface(mbu, ("a", 1024, 40, "dspm-secded"))
+    assert above.vulnerability == pytest.approx(floored * 0.4 / ACE_FLOOR)
 
 
 def test_total_spm_bytes_must_be_positive(mbu):
+    """A plan with no data-SPM surface has nothing to strike."""
+    config = ftspm_config()
+    plan = MappingPlan(config=config, slots={
+        name: slot for name, slot in region_slots(config).items()
+        if slot.spm_name != "D-SPM"})
+    profile = Profile(program=None, blocks={}, total_cycles=100)
     with pytest.raises(FaultInjectionError):
-        vulnerability_of_placement([], 0, 100, mbu=mbu)
+        region_surface_vulnerability(plan, profile, mbu=mbu)
 
 
 # --- Monte-Carlo injection ------------------------------------------------------------
 
-ENTRIES = (
-    (block_stats("ecc-block", 2048, 60), Protection.SECDED),
-    (block_stats("parity-block", 2048, 30), Protection.PARITY),
-    (block_stats("stt-block", 12288, 100), Protection.IMMUNE),
+TARGETS = (
+    Target("ecc-block", Protection.SECDED, 2048, 0.6),
+    Target("parity-block", Protection.PARITY, 2048, 0.3),
+    Target("stt-block", Protection.IMMUNE, 12288, 1.0),
 )
 
 
-def run_campaign(mbu, trials, seed=1, entries=ENTRIES):
-    spec = CampaignSpec.from_entries(
-        entries, total_spm_bytes=16 * 1024, total_cycles=100,
-        trials=trials, seed=seed, mbu=mbu)
+def run_campaign(trials, seed=1, targets=TARGETS):
+    spec = CampaignSpec(targets=targets, total_spm_bytes=16 * 1024,
+                        trials=trials, seed=seed)
     return CampaignRunner(spec).run().result
 
 
-def test_campaign_counts_sum(mbu):
-    result = run_campaign(mbu, trials=5000)
+def test_campaign_counts_sum():
+    result = run_campaign(trials=5000)
     total = (result.benign_immune + result.benign_empty
              + result.benign_dead + result.none + result.dre
              + result.due + result.sdc)
     assert total == result.trials == 5000
 
 
-def test_campaign_sttram_strikes_are_benign(mbu):
-    result = run_campaign(mbu, trials=5000)
+def test_campaign_sttram_strikes_are_benign():
+    result = run_campaign(trials=5000)
     assert result.benign_immune > 0
     assert "stt-block" not in result.by_block
 
 
-def test_campaign_matches_analytic_vulnerability(mbu):
+def test_campaign_matches_analytic_avf(mbu):
     """Monte-Carlo codec outcomes land near equations (1)-(7).
 
     The deviation is the real codec behaviour the analytic model rounds
@@ -184,14 +217,16 @@ def test_campaign_matches_analytic_vulnerability(mbu):
     DUE instead of SDC), so the tolerance is loose but the magnitude and
     ordering must agree.
     """
-    analytic = vulnerability_of_placement(ENTRIES, 16 * 1024, 100, mbu=mbu)
-    measured = run_campaign(mbu, trials=120_000, seed=3)
-    assert measured.vulnerability == pytest.approx(
-        analytic.vulnerability, rel=0.25)
+    analytic = sum(
+        target.size / (16 * 1024) * target.ace_fraction
+        * region_error_probabilities(target.protection, mbu).harmful
+        for target in TARGETS)
+    measured = run_campaign(trials=120_000, seed=3)
+    assert measured.vulnerability == pytest.approx(analytic, rel=0.25)
 
 
-def test_campaign_dre_only_from_ecc(mbu):
-    result = run_campaign(mbu, trials=20_000)
+def test_campaign_dre_only_from_ecc():
+    result = run_campaign(trials=20_000)
     from repro.ecc.codec import ErrorClass
     parity_counts = result.by_block.get("parity-block")
     if parity_counts is not None:
@@ -199,19 +234,19 @@ def test_campaign_dre_only_from_ecc(mbu):
     assert result.dre > 0  # ECC corrects single flips
 
 
-def test_campaign_deterministic_with_seed(mbu):
-    first = run_campaign(mbu, trials=3000, seed=9)
-    second = run_campaign(mbu, trials=3000, seed=9)
+def test_campaign_deterministic_with_seed():
+    first = run_campaign(trials=3000, seed=9)
+    second = run_campaign(trials=3000, seed=9)
     assert first.sdc == second.sdc
     assert first.due == second.due
 
 
-def test_campaign_rejects_overflowing_blocks(mbu):
-    entries = [(block_stats("big", 64 * 1024, 10), Protection.SECDED)]
+def test_campaign_rejects_overflowing_blocks():
+    targets = (Target("big", Protection.SECDED, 64 * 1024, 0.1),)
     with pytest.raises(FaultInjectionError):
-        run_campaign(mbu, trials=100, entries=entries)
+        run_campaign(trials=100, targets=targets)
 
 
-def test_campaign_rate_helper(mbu):
-    result = run_campaign(mbu, trials=1000)
+def test_campaign_rate_helper():
+    result = run_campaign(trials=1000)
     assert result.rate("sdc") == result.sdc / 1000

@@ -75,21 +75,6 @@ def test_peek_poke_word(sram):
     assert sram.peek_word(0x1020) == 0x01020304
 
 
-def test_flip_bits_changes_storage_without_cost(sram):
-    sram.poke_word(0x1000, 0)
-    sram.flip_bits(0x1000, [0, 9, 31])
-    assert sram.peek_word(0x1000) == (1 | (1 << 9) | (1 << 31))
-    assert sram.stats.accesses == 0
-    assert sram.stats.dynamic_energy == 0
-
-
-def test_flip_bits_is_involutive(sram):
-    sram.poke_word(0x1000, 0x12345678)
-    sram.flip_bits(0x1000, [3, 17])
-    sram.flip_bits(0x1000, [3, 17])
-    assert sram.peek_word(0x1000) == 0x12345678
-
-
 def test_leakage_energy(sram):
     assert sram.leakage_energy(2.0) == pytest.approx(2e-3)
 

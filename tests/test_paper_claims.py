@@ -98,11 +98,9 @@ def test_claim_case_not_slower(case_scalars):
 
 def _campaign(profile, structure, trials, seed):
     """Inject through the shipped campaign path (batch evaluator) over
-    the structure's block-level surface."""
-    plan = evaluate_structure(profile, structure).plan
-    spec = CampaignSpec.from_entries(
-        plan.avf_entries(profile), plan.total_spm_bytes(),
-        profile.total_cycles, trials=trials, seed=seed)
+    the structure's Fig. 5 region surface."""
+    spec = CampaignSpec.from_structure(profile, structure, trials=trials,
+                                       seed=seed)
     return CampaignRunner(spec).run()
 
 

@@ -120,21 +120,6 @@ def test_region_occupancy(plan):
     assert occupancy["dspm-parity"] == 0
 
 
-def test_total_spm_bytes(plan):
-    assert plan.total_spm_bytes() == 32 * 1024
-
-
-def test_avf_entries(plan):
-    a = stats_of("a", 64)
-    b = stats_of("b", 64)
-    profile = make_profile(a, b)
-    plan.assign(a, "dspm-parity")
-    plan.leave_unmapped(b)
-    entries = plan.avf_entries(profile)
-    assert len(entries) == 1
-    assert entries[0][1] is Protection.PARITY
-
-
 def test_table_rows_layout(plan):
     a = stats_of("a", 64)
     b = stats_of("b", 64)

@@ -111,6 +111,56 @@ def test_mixed_concurrent_jobs_coalesce(harness):
     assert service.scheduler.stats["pools_created"] <= 1
 
 
+#: ``repro campaign``'s outcome-table rows, by CampaignResult count field
+OUTCOME_ROWS = {
+    "benign (immune)": "benign_immune", "benign (empty)": "benign_empty",
+    "benign (dead)": "benign_dead", "no effect": "none",
+    "DRE (recovered)": "dre", "DUE (detected)": "due",
+    "SDC (silent)": "sdc",
+}
+
+
+def cli_campaign_counts(capsys, *argv):
+    """Outcome counts printed by one ``repro campaign`` invocation."""
+    from repro.cli import main
+
+    assert main(["campaign", *argv, "--no-progress"]) == 0
+    counts = {}
+    for line in capsys.readouterr().out.splitlines():
+        cells = [cell.strip() for cell in line.split("|")]
+        if cells[0] in OUTCOME_ROWS:
+            counts[OUTCOME_ROWS[cells[0]]] = int(cells[1].replace(",", ""))
+    return counts
+
+
+def test_one_seed_one_answer_on_every_entry_point(harness, capsys):
+    """One (workload, structure, trials, seed) gives the same outcome
+    counts through ``repro campaign`` at any ``--jobs``, a service
+    campaign job, and fig5's measured column."""
+    from repro.eval import run_experiment
+
+    trials, seed = 60_000, 23  # three shards at the default shard size
+    argv = ("sha", "--structure", "ftspm", "--trials", str(trials),
+            "--seed", str(seed))
+    serial = cli_campaign_counts(capsys, *argv, "--jobs", "1")
+    assert sum(serial.values()) == trials
+    assert cli_campaign_counts(capsys, *argv, "--jobs", "2") == serial
+
+    client = harness.client
+    status = client.submit("campaign", workload="sha", structure="ftspm",
+                           trials=trials, seed=seed)
+    assert client.wait(status["id"], timeout=300)["state"] == "done"
+    counts = client.result(status["id"])["result"]["counts"]
+    assert {field: counts[field] for field in serial} == serial
+
+    fig5 = run_experiment("fig5", measured_trials=trials,
+                          measured_seed=seed)
+    harmful = serial["due"] + serial["sdc"]
+    assert harmful > 0
+    assert fig5.data["measured"]["sha"]["vulnerability"] * trials == (
+        pytest.approx(harmful))
+
+
 def test_repeat_submission_served_from_memory(harness):
     client = harness.client
     first = client.submit("mapping", workload="case")
