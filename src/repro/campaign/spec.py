@@ -71,9 +71,10 @@ class CampaignSpec:
         from ..eval.structures import surface_vulnerability
         from ..pipeline import get_context
 
-        config, plan, _ = get_context().plan(profile, structure)
+        evaluation = get_context().evaluation(profile, structure)
+        plan = evaluation.plan
         mbu, breakdown = surface_vulnerability(plan, profile, structure,
-                                               config)
+                                               evaluation.config)
         targets = tuple(
             Target(region.name, region.protection,
                    plan.slots[region.name].size, region.ace_fraction)

@@ -209,24 +209,21 @@ def _cmd_map(args):
         args.workload, array_words=args.array_words,
         outer_iterations=args.outer_iterations, scale=args.scale,
         profile_flavor=args.profile)
-    config = preset(args.structure)
     if args.structure == "ftspm":
         mode = OptimizationMode(args.mode)
-        _, plan, result = get_context().plan(
-            profile, "ftspm", config=config,
-            thresholds=thresholds_for_mode(mode))
-        print(plan.format_table(
+        evaluation = get_context().evaluation(
+            profile, "ftspm", thresholds=thresholds_for_mode(mode))
+        print(evaluation.plan.format_table(
             profile, title="MDA placement (%s, mode=%s, %s profile)"
             % (args.workload, mode.value,
                getattr(profile, "flavor", "dynamic"))))
         print()
-        for decision in result.decisions:
+        for decision in evaluation.mda_result.decisions:
             print("  step%d %-14s %-18s %s" % (
                 decision.step, decision.block, decision.action,
                 decision.detail))
     else:
-        _, plan, _ = get_context().plan(profile, args.structure,
-                                        config=config)
+        plan = get_context().evaluation(profile, args.structure).plan
         print(plan.format_table(
             profile, title="%s placement (%s)"
             % (args.structure, args.workload)))
@@ -240,8 +237,9 @@ def _cmd_run(args):
         raise ReproError(
             "workload %r is profile-only; pick 'case' or a kernel"
             % args.workload)
-    config, plan, _ = get_context().plan(profile, args.structure)
-    machine = build_machine(program, config, plan, profile)
+    evaluation = get_context().evaluation(profile, args.structure)
+    machine = build_machine(program, evaluation.config, evaluation.plan,
+                            profile)
     result = machine.run()
     print("structure:        %s" % args.structure)
     print("instructions:     {:,}".format(result.instructions))

@@ -26,7 +26,7 @@ from ..sim.diffcheck import (
     golden_names,
 )
 from .differ import DiffThresholds, DiffSetReport, diff_snapshots
-from .model import MappingSnapshot
+from .model import MappingSnapshot, build_snapshot
 
 #: subdirectory of the golden corpus holding mapping snapshots
 MAPPING_GOLDEN_DIRNAME = "mappings"
@@ -63,7 +63,7 @@ def compute_snapshot(workload, flavor="dynamic",
     """Freshly evaluate one (workload, flavor) pair into a snapshot.
 
     With ``context=None`` the process-wide pipeline context is used, so
-    profiles and plans are computed once per process.
+    profiles and evaluations are computed once per process.
     """
     from ..pipeline import get_context
 
@@ -77,9 +77,8 @@ def compute_snapshot(workload, flavor="dynamic",
         raise ReproError(
             "workload %r has no program; static snapshots need one"
             % workload)
-    payload = context.mapping_snapshot(profile, structure,
-                                       thresholds=thresholds)
-    snapshot = MappingSnapshot.from_dict(payload)
+    snapshot = build_snapshot(profile, context.evaluation(
+        profile, structure, thresholds=thresholds))
     snapshot.workload = workload  # CLI spec, not profile.source_name
     return snapshot
 

@@ -85,25 +85,24 @@ def experiment_ablation_reliability_awareness():
     dominated = 0
     rate_pairs = []
     for name, profile in _suite_profiles():
-        config, mda_plan, _ = get_context().plan(profile, "ftspm")
+        evaluation = get_context().evaluation(profile, "ftspm")
+        config = evaluation.config
         swap_plan = _swapped_placement_vulnerability(
-            profile, mda_plan, config)
-        mda_vuln = region_surface_vulnerability(
-            mda_plan, profile).vulnerability
+            profile, evaluation.plan, config)
+        mda_vuln = evaluation.vulnerability
         swap_vuln = region_surface_vulnerability(
             swap_plan, profile).vulnerability
-        cost_model = ScenarioCostModel(profile, config)
-        mda_cycles = cost_model.cost_of(mda_plan).total_cycles
-        swap_cycles = cost_model.cost_of(swap_plan).total_cycles
+        mda_cycles = evaluation.cycles
+        swap_cycles = ScenarioCostModel(profile, config).cost_of(
+            swap_plan).total_cycles
         # MDA is Pareto-dominated only if the swap is strictly better on
         # BOTH reliability and performance.
         is_dominated = (swap_vuln < mda_vuln * 0.999
                         and swap_cycles < mda_cycles * 0.999)
         dominated += is_dominated
         blind_plan = hybrid_write_aware_plan(profile, config)
-        mda_rate = _stt_rate(profile, mda_plan, config)
         blind_rate = _stt_rate(profile, blind_plan, config)
-        rate_pairs.append((mda_rate, blind_rate))
+        rate_pairs.append((evaluation.max_cell_write_rate, blind_rate))
         rows.append([name, mda_vuln, swap_vuln, mda_cycles, swap_cycles,
                      "yes" if is_dominated else "no", blind_rate])
     data = {
@@ -167,7 +166,6 @@ def experiment_ablation_region_sizes():
 
 def experiment_ablation_priorities():
     """The four multi-priority optimisation modes on the whole suite."""
-    config = ftspm_config()
     headers = ["Mode", "Geomean vuln", "Mean perf ovh", "Mean energy ovh",
                "Geomean STT write rate (wr/s)"]
     rows = []
@@ -175,14 +173,12 @@ def experiment_ablation_priorities():
     for mode in OptimizationMode:
         vulns, perf, energy, rates = [], [], [], []
         for name, profile in _suite_profiles():
-            _, _, result = get_context().plan(
+            evaluation = get_context().evaluation(
                 profile, "ftspm", thresholds=thresholds_for_mode(mode))
-            vulns.append(max(region_surface_vulnerability(
-                result.plan, profile).vulnerability, 1e-9))
-            perf.append(result.perf_overhead)
-            energy.append(result.energy_overhead)
-            evaluation_rate = _stt_rate(profile, result.plan, config)
-            rates.append(max(evaluation_rate, 1e-9))
+            vulns.append(max(evaluation.vulnerability, 1e-9))
+            perf.append(evaluation.mda_result.perf_overhead)
+            energy.append(evaluation.mda_result.energy_overhead)
+            rates.append(max(evaluation.max_cell_write_rate, 1e-9))
         row = [mode.value, _geomean(vulns),
                sum(perf) / len(perf), sum(energy) / len(energy),
                _geomean(rates)]
@@ -221,7 +217,7 @@ def experiment_ablation_mbu():
         sram_vuln = mbu.p_at_least(2)  # uniform SEC-DED surface constant
         ftspm_vulns = []
         for name, profile in _suite_profiles():
-            _, plan, _ = get_context().plan(profile, "ftspm")
+            plan = get_context().evaluation(profile, "ftspm").plan
             ftspm_vulns.append(max(region_surface_vulnerability(
                 plan, profile, mbu=mbu).vulnerability, 1e-9))
         geomean = _geomean(ftspm_vulns)
@@ -286,9 +282,8 @@ def experiment_ablation_interleaving(trials=25_000, seed=0x1EAF):
     # FTSPM reference: suite geomean vulnerability and its energy ratio
     ftspm_vulns = []
     for name, profile in _suite_profiles():
-        _, plan, _ = context.plan(profile, "ftspm")
-        ftspm_vulns.append(max(region_surface_vulnerability(
-            plan, profile).vulnerability, 1e-9))
+        ftspm_vulns.append(max(
+            context.evaluation(profile, "ftspm").vulnerability, 1e-9))
     rows.append(["FTSPM (structural)", _geomean(ftspm_vulns), "-", "<1"])
     data["ftspm"] = {"harmful": _geomean(ftspm_vulns)}
     return ExperimentResult(

@@ -9,6 +9,12 @@ numbers that tests and EXPERIMENTS.md reference.
 Suite experiments (Figs. 4–8) run the analytic pipeline over the
 MiBench-like models; case-study experiments (Tables I–III, Fig. 2, the
 Section IV scalars) execute the real program on the simulator.
+
+Every experiment draws its artifacts (profiles, evaluations with their
+plans, simulation scalars) from the process-wide
+:class:`~repro.pipeline.EvaluationContext`, so a full report simulates,
+profiles and plans each unique workload exactly once, and replays from
+disk when the context carries an artifact store.
 """
 
 from __future__ import annotations
@@ -52,34 +58,11 @@ class ExperimentResult:
         return body
 
 
-# --- shared pipelines -------------------------------------------------------
-#
-# Every experiment draws its artifacts (profiles, plans, evaluations,
-# simulation scalars) from the process-wide EvaluationContext, so a full
-# report assembles, simulates, and profiles each unique workload exactly
-# once — and replays from disk when the context carries an ArtifactStore.
-# The thin wrappers below keep the historic private entry points alive.
-
-
-def _suite_evaluations():
-    """{benchmark: {structure: StructureEvaluation}} over the suite."""
-    return get_context().suite_evaluations()
-
-
-def _case_study_profile(array_words, outer_iterations):
-    return get_context().case_study(array_words, outer_iterations)
-
-
-def _case_study_runs(array_words, outer_iterations):
-    """Full-simulation scalars of the case study on all three structures."""
-    return get_context().case_runs(array_words, outer_iterations)
-
-
 # --- Table I -----------------------------------------------------------------
 
 def experiment_table1(array_words=256, outer_iterations=4):
     """Table I: profiling of the case-study program."""
-    _, profile = _case_study_profile(array_words, outer_iterations)
+    _, profile = get_context().case_study(array_words, outer_iterations)
     headers = ["Block", "Reads", "Writes", "Avg R/Ref", "Avg W/Ref",
                "Stack Calls", "Max Stack (B)", "Life-Time (Cycles)"]
     rows = []
@@ -113,8 +96,8 @@ def experiment_table1(array_words=256, outer_iterations=4):
 
 def experiment_table2(array_words=256, outer_iterations=4):
     """Table II: MDA output for the case study."""
-    _, profile = _case_study_profile(array_words, outer_iterations)
-    _, _, result = get_context().plan(profile, "ftspm")
+    _, profile = get_context().case_study(array_words, outer_iterations)
+    result = get_context().evaluation(profile, "ftspm").mda_result
     headers = ["Block", "Mapped to SPM", "Region"]
     rows = [list(row) for row in result.plan.table_rows(profile)]
     placement = {row[0]: row[2] for row in rows}
@@ -137,7 +120,7 @@ def experiment_table2(array_words=256, outer_iterations=4):
 
 def experiment_table3(array_words=256, outer_iterations=4):
     """Table III: endurance of pure STT-RAM SPM vs FTSPM (case study)."""
-    _, profile = _case_study_profile(array_words, outer_iterations)
+    _, profile = get_context().case_study(array_words, outer_iterations)
     evaluations = {
         structure: get_context().evaluation(profile, structure)
         for structure in ("baseline-sttram", "ftspm")
@@ -196,9 +179,9 @@ def experiment_table4():
 
 def experiment_fig2(array_words=256, outer_iterations=4):
     """Fig. 2: case-study read/write distribution over FTSPM."""
-    _, profile = _case_study_profile(array_words, outer_iterations)
-    config, plan, _ = get_context().plan(profile, "ftspm")
-    dist = region_distribution(profile, plan, config)
+    _, profile = get_context().case_study(array_words, outer_iterations)
+    evaluation = get_context().evaluation(profile, "ftspm")
+    dist = region_distribution(profile, evaluation.plan, evaluation.config)
     headers = ["Bucket", "Read %", "Write %"]
     rows = []
     for bucket, label in (("ispm-stt", "I-SPM (STT-RAM)"),
@@ -279,8 +262,9 @@ def experiment_fig4():
     context = get_context()
     for name in mibench_names():
         profile = context.synthetic_profile(name)
-        config, plan, _ = context.plan(profile, "ftspm")
-        dist = region_distribution(profile, plan, config)
+        evaluation = context.evaluation(profile, "ftspm")
+        dist = region_distribution(profile, evaluation.plan,
+                                   evaluation.config)
         rows.append([
             name,
             100 * dist.fraction("read", "ispm-stt"),
@@ -353,7 +337,7 @@ def experiment_fig5(measured_trials=0, measured_jobs=1,
     rows = []
     ratios = []
     measured = {}
-    evaluations = _suite_evaluations()
+    evaluations = get_context().suite_evaluations()
     for name in mibench_names():
         ftspm = evaluations[name]["ftspm"]
         sram = evaluations[name]["baseline-sram"]
@@ -407,7 +391,7 @@ def experiment_fig6():
                "FTSPM/SRAM", "STT/SRAM"]
     rows = []
     ftspm_ratios, stt_ratios = [], []
-    for name, evals in _suite_evaluations().items():
+    for name, evals in get_context().suite_evaluations().items():
         ftspm = evals["ftspm"].static_energy
         sram = evals["baseline-sram"].static_energy
         stt = evals["baseline-sttram"].static_energy
@@ -443,7 +427,7 @@ def experiment_fig7():
                "FTSPM/SRAM", "FTSPM/STT"]
     rows = []
     over_sram, over_stt = [], []
-    for name, evals in _suite_evaluations().items():
+    for name, evals in get_context().suite_evaluations().items():
         ftspm = evals["ftspm"].dynamic_energy
         sram = evals["baseline-sram"].dynamic_energy
         stt = evals["baseline-sttram"].dynamic_energy
@@ -480,7 +464,7 @@ def experiment_fig8():
                "Improvement", "Lifetime @1e12 (STT)", "Lifetime @1e12 (FTSPM)"]
     rows = []
     improvements = []
-    for name, evals in _suite_evaluations().items():
+    for name, evals in get_context().suite_evaluations().items():
         analysis = endurance_analysis(evals)
         improvement = analysis.improvement()
         improvements.append(improvement)
@@ -526,7 +510,7 @@ def experiment_case_scalars(array_words=256, outer_iterations=4,
     Monte-Carlo counterpart: a measured campaign per structure with its
     95% Wilson CI (``data["measured_vulnerability"]``).
     """
-    _, profile, runs = _case_study_runs(array_words, outer_iterations)
+    _, profile, runs = get_context().case_runs(array_words, outer_iterations)
     ftspm, sram, stt = (runs["ftspm"], runs["baseline-sram"],
                         runs["baseline-sttram"])
     headers = ["Metric", "FTSPM", "Pure SRAM", "Pure STT-RAM"]
@@ -592,7 +576,7 @@ def experiment_perf_overhead():
     headers = ["Benchmark", "FTSPM cycles", "SRAM cycles", "Overhead %"]
     rows = []
     overheads = []
-    for name, evals in _suite_evaluations().items():
+    for name, evals in get_context().suite_evaluations().items():
         ftspm = evals["ftspm"].cycles
         sram = evals["baseline-sram"].cycles
         overhead = 100 * (ftspm / sram - 1)

@@ -11,8 +11,8 @@ and go back to the OS when the device is freed, so a machine's 8 MB DRAM
 image costs what the program touches, whatever the allocator did before.
 
 Devices also expose raw (unaccounted) ``peek``/``poke`` used by the loader,
-the DMA engine's bulk copies (which do their own cost model), and the fault
-injector (a particle strike is not an architectural access).
+the DMA engine's bulk copies and the cache's data path (both do their own
+cost model), and the result checks and state digests taken after a run.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """SRAM device, optionally carrying a protection scheme tag.
 
-The protection scheme does not change functional behaviour here — ECC
-encode/decode happens in :mod:`repro.ecc` during fault-injection runs — but
-it determines the latency (Table IV: parity overlaps the access, SEC-DED
-costs an extra cycle) and the redundancy energy added by the technology
-model.
+The protection scheme does not change functional behaviour here — strikes
+are classified in closed form by :mod:`repro.faults.classify`, never
+written into device bytes — but it determines the latency (Table IV:
+parity overlaps the access, SEC-DED costs an extra cycle) and the
+redundancy energy added by the technology model.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ simulated, profiled, planned, and evaluated.  Every product is an
 * on disk, optionally — construct with ``store`` (an
   :class:`~repro.pipeline.store.ArtifactStore` or a path) and artifacts
   survive across process boundaries: a second ``repro report
-  --cache-dir`` run replays every simulation and Monte-Carlo campaign
-  from the store, byte-identically.
+  --cache-dir`` run replays every simulation, evaluation (plan
+  included) and Monte-Carlo campaign from the store, byte-identically.
 
 Experiments receive a context (or use the process-wide default from
 :func:`get_context`) instead of re-simulating behind ``lru_cache``
@@ -49,7 +49,6 @@ class PipelineCounters:
     """
 
     simulations: int = 0
-    plans: int = 0
     evaluations: int = 0
     memo_hits: int = 0
     store_hits: int = 0
@@ -66,9 +65,11 @@ class PipelineCounters:
 
 
 class EvaluationContext:
-    """Memoizing façade over the simulate → profile → plan → evaluate
-    pipeline.  ``store`` may be None (in-memory only), a path, or an
-    :class:`ArtifactStore`."""
+    """Memoizing façade over the simulate → profile → plan + evaluate
+    pipeline.  Planning is part of the evaluation artifact: each
+    :meth:`evaluation` carries the mapping plan it priced, and every
+    other reader of a placement takes it from there.  ``store`` may be
+    None (in-memory only), a path, or an :class:`ArtifactStore`."""
 
     def __init__(self, store=None):
         if store is not None and not isinstance(store, ArtifactStore):
@@ -80,12 +81,11 @@ class EvaluationContext:
 
     # --- artifact plumbing ---------------------------------------------------
 
-    def artifact(self, kind, parts, compute, disk=True):
+    def artifact(self, kind, parts, compute):
         """Memoized compute: kind + parts form the content-hash key.
 
         Lookup order is process memo, then the disk store, then
-        ``compute()`` (whose result lands in both).  ``disk=False``
-        keeps cheap-to-rebuild artifacts out of the store.
+        ``compute()`` (whose result lands in both).
         """
         key = artifact_key(kind, *parts)
         if key in self._memo:
@@ -94,7 +94,7 @@ class EvaluationContext:
                     outcome="memo-hit",
                     help="artifact lookups by kind and outcome")
             return self._memo[key]
-        if disk and self.store is not None:
+        if self.store is not None:
             value = self.store.get(key, _MISS)
             if value is not _MISS:
                 self.counters.store_hits += 1
@@ -111,7 +111,7 @@ class EvaluationContext:
         obs.inc("pipeline_artifacts_total", kind=kind, outcome="computed",
                 help="artifact lookups by kind and outcome")
         self._memo[key] = value
-        if disk and self.store is not None:
+        if self.store is not None:
             self.store.put(key, value)
         return value
 
@@ -252,27 +252,14 @@ class EvaluationContext:
 
     # --- planning / analytic evaluation -------------------------------------
 
-    def plan(self, profile, structure, config=None, thresholds=None):
-        """Mapping plan for (profile, structure): one MDA run per key.
-
-        Returns the same ``(config, plan, mda_result)`` triple as
-        :func:`repro.eval.structures.plan_for_structure`.
-        """
-        from ..eval.structures import plan_for_structure
-
-        parts = (self.profile_key(profile), structure,
-                 self.config_key(config) if config is not None else None,
-                 thresholds_fingerprint(thresholds))
-
-        def compute():
-            self.counters.plans += 1
-            return plan_for_structure(profile, structure, config=config,
-                                      thresholds=thresholds)
-
-        return self.artifact("plan", parts, compute, disk=False)
-
     def evaluation(self, profile, structure, config=None, thresholds=None):
-        """Full analytic metric set for one (workload, structure)."""
+        """Full analytic metric set for one (workload, structure),
+        planned once per key.
+
+        The evaluation carries the placement too (``.config``, ``.plan``
+        and, on FTSPM, ``.mda_result``), so every reader of a mapping
+        reads it from here and a disk store replays it without planning.
+        """
         from ..eval.structures import evaluate_structure
 
         parts = (self.profile_key(profile), structure,
@@ -285,28 +272,6 @@ class EvaluationContext:
                                       thresholds=thresholds)
 
         return self.artifact("evaluation", parts, compute)
-
-    def mapping_snapshot(self, profile, structure, config=None,
-                         thresholds=None):
-        """Structural placement snapshot for one (profile, structure).
-
-        The artifact is the plain-JSON snapshot document
-        (:mod:`repro.diff.model`): every block's region assignment plus
-        the analytic metric scalars.  Keyed like an evaluation.
-        """
-        from ..diff.model import build_snapshot
-
-        parts = (self.profile_key(profile), structure,
-                 self.config_key(config) if config is not None else None,
-                 thresholds_fingerprint(thresholds))
-
-        def compute():
-            evaluation = self.evaluation(profile, structure,
-                                         config=config,
-                                         thresholds=thresholds)
-            return build_snapshot(profile, evaluation).to_dict()
-
-        return self.artifact("mapping-snapshot", parts, compute)
 
     def suite_evaluations(self):
         """{benchmark: {structure: StructureEvaluation}} over the suite."""
@@ -349,7 +314,6 @@ class EvaluationContext:
         in picklable form.
         """
         from ..core.online import build_machine
-        from ..eval.structures import surface_vulnerability
 
         parts = (self.program_key(program), self.profile_key(profile),
                  structure,
@@ -358,20 +322,18 @@ class EvaluationContext:
 
         def compute():
             self.counters.note_simulation(key)
-            run_config, plan, _ = self.plan(profile, structure,
-                                            config=config)
-            machine = build_machine(program, run_config, plan, profile)
+            evaluation = self.evaluation(profile, structure, config=config)
+            machine = build_machine(program, evaluation.config,
+                                    evaluation.plan, profile)
             run = machine.run()
-            _, breakdown = surface_vulnerability(plan, profile, structure,
-                                                 run_config)
             return {
                 "cycles": run.cycles,
                 "instructions": run.instructions,
                 "seconds": run.seconds,
                 "dynamic_energy": machine.dynamic_energy(),
                 "static_energy": machine.static_energy(),
-                "vulnerability": breakdown.vulnerability,
-                "reliability": breakdown.reliability,
+                "vulnerability": evaluation.vulnerability,
+                "reliability": evaluation.reliability,
             }
 
         return self.artifact("simulation", parts, compute)
@@ -393,8 +355,9 @@ class EvaluationContext:
 
         def compute():
             self.counters.note_simulation(key)
-            config, plan, _ = self.plan(profile, structure)
-            machine = build_machine(build.program, config, plan, profile)
+            evaluation = self.evaluation(profile, structure)
+            machine = build_machine(build.program, evaluation.config,
+                                    evaluation.plan, profile)
             run = machine.run()
             verified = all(
                 int.from_bytes(machine.memory.peek_bytes(

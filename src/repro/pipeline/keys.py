@@ -98,9 +98,9 @@ def program_fingerprint(program):
 def profile_fingerprint(profile):
     """Digest of every statistic a profile carries.
 
-    Downstream artifacts (plans, evaluations) key on this, so they are
-    shared between a freshly measured profile and an identical cached
-    one, and invalidated the moment any block statistic differs.
+    Downstream artifacts (evaluations, simulations) key on this, so
+    they are shared between a freshly measured profile and an identical
+    cached one, and invalidated the moment any block statistic differs.
     """
     return digest({
         "source_name": profile.source_name,

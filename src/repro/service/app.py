@@ -4,7 +4,8 @@
 
 * one shared :class:`~repro.pipeline.context.EvaluationContext`
   (optionally disk-backed) — every job's simulations, profiles, and
-  plans are memoized artifacts, exactly as in the batch CLI,
+  evaluations (each carrying its mapping plan) are memoized artifacts,
+  exactly as in the batch CLI,
 * one persistent :class:`~repro.campaign.scheduler.ShardScheduler`
   worker pool — concurrent campaign jobs share it and steal each
   other's idle slots,
@@ -430,8 +431,9 @@ class ReproService:
         if structure == "ftspm":
             thresholds = thresholds_for_mode(
                 OptimizationMode(params["mode"]))
-        _, plan, mda = self.context.plan(profile, structure,
-                                         thresholds=thresholds)
+        evaluation = self.context.evaluation(profile, structure,
+                                             thresholds=thresholds)
+        plan = evaluation.plan
         result = {
             "structure": structure,
             "mode": params["mode"],
@@ -448,10 +450,11 @@ class ReproService:
                        "protection": slot.protection.value}
                 for name, slot in sorted(plan.slots.items())},
         }
-        if structure == "ftspm" and mda is not None:
+        if structure == "ftspm":
             result["decisions"] = [
                 {"step": d.step, "block": d.block, "action": d.action,
-                 "detail": d.detail} for d in mda.decisions]
+                 "detail": d.detail}
+                for d in evaluation.mda_result.decisions]
         return result, True
 
     @staticmethod

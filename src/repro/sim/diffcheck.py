@@ -408,16 +408,17 @@ def _golden_program(name):
 def _golden_machine(name):
     """Build the canonical machine for one corpus entry: the workload
     placed on the FTSPM structure by the MDA plan, DMA schedule and all.
-    Uses the shared pipeline context so profiles/plans are computed once
-    per process no matter how many entries are refreshed."""
+    Uses the shared pipeline context so profiles and evaluations are
+    computed once per process no matter how many entries are refreshed."""
     from ..core.online import build_machine
     from ..pipeline import get_context
 
     context = get_context()
     program = _golden_program(name)
     profile = context.profile_of(program)
-    config, plan, _ = context.plan(profile, GOLDEN_STRUCTURE)
-    return build_machine(program, config, plan, profile)
+    evaluation = context.evaluation(profile, GOLDEN_STRUCTURE)
+    return build_machine(program, evaluation.config, evaluation.plan,
+                         profile)
 
 
 def golden_digest(name, engine="reference"):

@@ -64,9 +64,10 @@ def context():
 
 def _ftspm_setup(context, program, profile):
     """(config, schedule, energy models) for a placed FTSPM run."""
-    config, plan, _ = context.plan(profile, "ftspm")
-    schedule = schedule_for_plan(plan, profile)
-    return config, schedule, energy_models_for(config)
+    evaluation = context.evaluation(profile, "ftspm")
+    schedule = schedule_for_plan(evaluation.plan, profile)
+    return (evaluation.config, schedule,
+            energy_models_for(evaluation.config))
 
 
 # --- bundled workloads -------------------------------------------------------

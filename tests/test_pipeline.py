@@ -10,7 +10,9 @@ The guarantees under test:
   structure, config) artifact exactly once, no matter how many
   experiments consume it,
 * a cache-backed run in a fresh process reproduces the fresh run's
-  results byte-for-byte without executing a single simulation.
+  results byte-for-byte without executing a single simulation,
+* every reader of a placement takes it from the evaluation, so the MDA
+  runs once per key and never on a warm replay.
 """
 
 import json
@@ -211,3 +213,62 @@ def test_report_simulates_each_pair_exactly_once():
     counters = context.counters
     assert counters.simulations > 0
     assert counters.unique_simulations == counters.simulations
+
+
+# --- one MDA run per key -----------------------------------------------------
+
+#: report sections that read a placement: Table II's decision log, Figs.
+#: 2 and 4's distributions, Fig. 5, the placed case-study runs and three
+#: of the four ablations that read the MDA plan (ablation-interleaving
+#: would add only Monte-Carlo time)
+_PLAN_READERS = ("table2", "fig2", "fig4", "fig5", "case-scalars",
+                 "ablation-priorities", "ablation-reliability-awareness",
+                 "ablation-mbu")
+
+
+@pytest.fixture
+def plan_calls(monkeypatch):
+    """Every ``plan_for_structure`` call, by structure."""
+    from repro.eval import structures
+
+    calls = []
+    original = structures.plan_for_structure
+
+    def counted(profile, structure, *args, **kwargs):
+        calls.append(structure)
+        return original(profile, structure, *args, **kwargs)
+
+    monkeypatch.setattr(structures, "plan_for_structure", counted)
+    return calls
+
+
+def test_report_plans_each_key_once_and_never_when_warm(tmp_path,
+                                                         plan_calls):
+    from repro.eval.report import generate_report
+
+    def report():
+        context = EvaluationContext(store=tmp_path / "cache")
+        with using_context(context):
+            text = generate_report(include=_PLAN_READERS, **SCALE)
+        return context, text
+
+    cold, cold_text = report()
+    assert cold.counters.evaluations > 0
+    assert len(plan_calls) == cold.counters.evaluations
+    del plan_calls[:]
+    warm, warm_text = report()
+    assert plan_calls == []
+    assert warm.counters.computes == 0
+    assert warm.store.writes == 0
+    assert warm_text == cold_text
+
+
+def test_campaign_spec_and_evaluation_share_one_plan(tmp_path, plan_calls):
+    from repro.campaign import CampaignSpec
+
+    context = EvaluationContext(store=tmp_path / "cache")
+    profile = context.synthetic_profile("sha")
+    with using_context(context):
+        CampaignSpec.from_structure(profile, "ftspm", trials=1000, seed=7)
+        context.evaluation(profile, "ftspm")
+    assert plan_calls == ["ftspm"]
