@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .. import obs
+from ..config import DEFAULT_MAX_RETRIES
 from ..errors import CampaignError
 from ..eval.tables import render_table
 from ..faults.injector import CampaignResult
@@ -49,8 +50,6 @@ from .stats import wilson_interval
 #: synthetic Chrome-trace lane base so overlapping shard spans render on
 #: per-shard tracks instead of as a bogus nesting on the caller thread
 _SHARD_LANE_BASE = 10_000
-
-DEFAULT_MAX_RETRIES = 2
 
 
 @dataclass

@@ -45,11 +45,10 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 
 from .. import obs
+from ..config import DEFAULT_MAX_RETRIES
 from ..errors import CampaignError
 from ..obs import context as obs_context
 from .executor import shard_worker
-
-DEFAULT_MAX_RETRIES = 2
 
 
 def _noop():

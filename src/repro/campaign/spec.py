@@ -20,12 +20,10 @@ import json
 import math
 from dataclasses import dataclass
 
-from ..config import Protection
+from ..config import DEFAULT_CAMPAIGN_SEED, DEFAULT_SHARD_SIZE, Protection
 from ..errors import CampaignError
 from ..faults.injector import Target
 from ..faults.mbu import MbuDistribution
-
-DEFAULT_SHARD_SIZE = 25_000
 
 
 @dataclass(frozen=True)
@@ -35,7 +33,7 @@ class CampaignSpec:
     targets: tuple  # of repro.faults.injector.Target
     total_spm_bytes: int
     trials: int
-    seed: int = 0xF7F7
+    seed: int = DEFAULT_CAMPAIGN_SEED
     shard_size: int = DEFAULT_SHARD_SIZE
     mbu_probabilities: tuple = None  # None -> the 40 nm paper distribution
     mbu_max_multiplicity: int = 6
@@ -58,7 +56,8 @@ class CampaignSpec:
     # --- construction -----------------------------------------------------------
 
     @classmethod
-    def from_structure(cls, profile, structure, trials, seed=0xF7F7,
+    def from_structure(cls, profile, structure, trials,
+                       seed=DEFAULT_CAMPAIGN_SEED,
                        shard_size=DEFAULT_SHARD_SIZE):
         """Region-surface reading of Fig. 5 for one (workload, structure).
 

@@ -28,7 +28,12 @@ import os
 import sys
 
 from . import obs
-from .config import preset
+from .config import (
+    DEFAULT_CAMPAIGN_SEED,
+    DEFAULT_MAX_RETRIES,
+    DEFAULT_SHARD_SIZE,
+    preset,
+)
 from .core.online import build_machine
 from .core.priorities import OptimizationMode, thresholds_for_mode
 from .errors import ReproError
@@ -209,24 +214,22 @@ def _cmd_map(args):
         args.workload, array_words=args.array_words,
         outer_iterations=args.outer_iterations, scale=args.scale,
         profile_flavor=args.profile)
-    if args.structure == "ftspm":
-        mode = OptimizationMode(args.mode)
-        evaluation = get_context().evaluation(
-            profile, "ftspm", thresholds=thresholds_for_mode(mode))
+    mode = OptimizationMode(args.mode)
+    evaluation = get_context().evaluation(
+        profile, args.structure, thresholds=thresholds_for_mode(mode))
+    if args.structure != "ftspm":
         print(evaluation.plan.format_table(
-            profile, title="MDA placement (%s, mode=%s, %s profile)"
-            % (args.workload, mode.value,
-               getattr(profile, "flavor", "dynamic"))))
-        print()
-        for decision in evaluation.mda_result.decisions:
-            print("  step%d %-14s %-18s %s" % (
-                decision.step, decision.block, decision.action,
-                decision.detail))
-    else:
-        plan = get_context().evaluation(profile, args.structure).plan
-        print(plan.format_table(
             profile, title="%s placement (%s)"
             % (args.structure, args.workload)))
+        return 0
+    print(evaluation.plan.format_table(
+        profile, title="MDA placement (%s, mode=%s, %s profile)"
+        % (args.workload, mode.value, getattr(profile, "flavor", "dynamic"))))
+    print()
+    for decision in evaluation.mda_result.decisions:
+        print("  step%d %-14s %-18s %s" % (
+            decision.step, decision.block, decision.action,
+            decision.detail))
     return 0
 
 
@@ -963,14 +966,15 @@ def build_parser():
     p_campaign.add_argument("--trials", type=int, default=200_000)
     p_campaign.add_argument("--jobs", type=int, default=1,
                             help="worker processes for shard execution")
-    p_campaign.add_argument("--seed", type=int, default=0xF7F7)
-    p_campaign.add_argument("--shard-size", type=int, default=25_000,
+    p_campaign.add_argument("--seed", type=int, default=DEFAULT_CAMPAIGN_SEED)
+    p_campaign.add_argument("--shard-size", type=int,
+                            default=DEFAULT_SHARD_SIZE,
                             help="trials per shard (checkpoint granule)")
     p_campaign.add_argument("--out", metavar="RUN_DIR",
                             help="run directory for shard checkpoints")
     p_campaign.add_argument("--resume", action="store_true",
                             help="continue a checkpointed run in --out")
-    p_campaign.add_argument("--retries", type=int, default=2,
+    p_campaign.add_argument("--retries", type=int, default=DEFAULT_MAX_RETRIES,
                             help="retry budget per shard before it is "
                                  "recorded as failed")
     p_campaign.add_argument("--no-progress", action="store_true",

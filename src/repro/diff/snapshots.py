@@ -58,8 +58,7 @@ def snapshot_path(directory, workload, flavor):
 # --- computing / persisting snapshots ---------------------------------------
 
 def compute_snapshot(workload, flavor="dynamic",
-                     structure=GOLDEN_STRUCTURE, context=None,
-                     thresholds=None):
+                     structure=GOLDEN_STRUCTURE, context=None):
     """Freshly evaluate one (workload, flavor) pair into a snapshot.
 
     With ``context=None`` the process-wide pipeline context is used, so
@@ -77,8 +76,7 @@ def compute_snapshot(workload, flavor="dynamic",
         raise ReproError(
             "workload %r has no program; static snapshots need one"
             % workload)
-    snapshot = build_snapshot(profile, context.evaluation(
-        profile, structure, thresholds=thresholds))
+    snapshot = build_snapshot(profile, context.evaluation(profile, structure))
     snapshot.workload = workload  # CLI spec, not profile.source_name
     return snapshot
 

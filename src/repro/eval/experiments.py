@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from ..config import (
+    DEFAULT_CAMPAIGN_SEED,
     baseline_sram_config,
     baseline_sttram_config,
     ftspm_config,
@@ -35,7 +36,7 @@ from ..units import PICOJOULE, format_lifetime
 from ..workloads.synthetic import mibench_names
 from .distribution import region_distribution
 from .endurance import endurance_analysis
-from .structures import STRUCTURES
+from .structures import STRUCTURES, _spm_leakage
 from .tables import render_table
 
 
@@ -321,7 +322,7 @@ def _measured_vulnerability(profile, structure, trials, jobs, seed):
 # --- Fig. 5 -------------------------------------------------------------------
 
 def experiment_fig5(measured_trials=0, measured_jobs=1,
-                    measured_seed=0xF7F7):
+                    measured_seed=DEFAULT_CAMPAIGN_SEED):
     """Fig. 5: vulnerability of FTSPM vs the pure SRAM baseline.
 
     With ``measured_trials > 0`` every FTSPM value is cross-checked by a
@@ -503,7 +504,7 @@ def experiment_fig8():
 
 def experiment_case_scalars(array_words=256, outer_iterations=4,
                             measured_trials=0, measured_jobs=1,
-                            measured_seed=0xF7F7):
+                            measured_seed=DEFAULT_CAMPAIGN_SEED):
     """Section IV scalars: reliability, energy deltas, full simulation.
 
     With ``measured_trials > 0`` the analytic vulnerability row gains a
@@ -610,9 +611,12 @@ def experiment_kernels_sweep(kernels=None):
     data = {"ftspm_dyn_over_sram": {}, "verified": 0, "runs": 0}
     context = get_context()
     for name in kernels or kernel_names():
+        build = context.kernel_build(name)
+        profile = context.profile_of(build.program)
         per_structure = {}
         for structure in STRUCTURES:
-            outcome = context.kernel_run(name, structure)
+            outcome = context.simulation(build.program, profile, structure,
+                                         expected=build.expected)
             per_structure[structure] = outcome["dynamic_energy"]
             data["runs"] += 1
             data["verified"] += outcome["verified"]
@@ -643,11 +647,7 @@ def experiment_static_power():
     rows = []
     data = {}
     for structure, config in configs.items():
-        models = energy_models_for(config)
-        leakage = sum(
-            models[region.name].leakage_power
-            for spm in (config.instruction_spm, config.data_spm)
-            for region in spm.regions)
+        leakage = _spm_leakage(config, energy_models_for(config))
         rows.append([structure, leakage * 1e3, paper[structure]])
         data[structure] = leakage * 1e3
     return ExperimentResult(

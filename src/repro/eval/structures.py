@@ -12,15 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import (
-    MemoryTechnology,
-    baseline_sram_config,
-    baseline_sttram_config,
-    ftspm_config,
-)
+from ..config import MemoryTechnology, preset
 from ..core.baselines import pure_sram_plan, pure_sttram_plan
 from ..core.costs import ScenarioCostModel
 from ..core.mda import MappingDeterminer
+from ..core.priorities import OptimizationMode, thresholds_for_mode
 from ..errors import ConfigurationError
 from ..faults.avf import region_surface_vulnerability
 from ..faults.mbu import MbuDistribution
@@ -72,22 +68,35 @@ class StructureEvaluation:
         }
 
 
+def placement_inputs(structure, config=None, thresholds=None):
+    """The ``(config, thresholds)`` a structure's plan is computed from.
+
+    The config defaults to the structure's preset.  FTSPM's thresholds
+    default to the balanced mode's, which the MDA falls back to; the
+    baselines' planners take none, so theirs are None.  Evaluations are
+    keyed on this result, so every spelling of the same inputs shares
+    one evaluation.
+    """
+    if structure not in STRUCTURES:
+        raise ConfigurationError(
+            "unknown structure %r (choose from %s)"
+            % (structure, ", ".join(STRUCTURES)))
+    config = config or preset(structure)
+    if structure != "ftspm":
+        return config, None
+    return config, thresholds or thresholds_for_mode(
+        OptimizationMode.BALANCED)
+
+
 def plan_for_structure(profile, structure, config=None, thresholds=None):
     """Build the mapping plan a structure uses for a profile."""
+    config, thresholds = placement_inputs(structure, config, thresholds)
     if structure == "ftspm":
-        config = config or ftspm_config()
-        mda = MappingDeterminer(config, thresholds=thresholds)
-        result = mda.map(profile)
+        result = MappingDeterminer(config, thresholds=thresholds).map(profile)
         return config, result.plan, result
     if structure == "baseline-sram":
-        config = config or baseline_sram_config()
         return config, pure_sram_plan(profile, config), None
-    if structure == "baseline-sttram":
-        config = config or baseline_sttram_config()
-        return config, pure_sttram_plan(profile, config), None
-    raise ConfigurationError(
-        "unknown structure %r (choose from %s)"
-        % (structure, ", ".join(STRUCTURES)))
+    return config, pure_sttram_plan(profile, config), None
 
 
 def _spm_leakage(config, energy_models):

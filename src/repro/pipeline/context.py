@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import obs
-from ..config import baseline_sram_config
+from ..config import preset
 from ..errors import ReproError
 from .keys import (
     artifact_key,
@@ -177,24 +177,22 @@ class EvaluationContext:
             ("synthetic-profile", name),
             lambda: synthetic_profile(name))
 
-    def profile_of(self, program, config=None, max_instructions=None):
+    def profile_of(self, program):
         """Profile a program on the profiling platform — one run ever.
 
-        Keyed by program bytes + profiling-platform config, so an
-        edited program (or platform) re-simulates and everything else
-        replays from cache.
+        Keyed by program bytes + the profiling platform's config (the
+        pure-SRAM baseline), so an edited program (or platform)
+        re-simulates and everything else replays from cache.
         """
         from ..profile.profiler import profile_program
 
-        config = config or baseline_sram_config()
-        parts = (self.program_key(program), self.config_key(config),
-                 max_instructions)
+        parts = (self.program_key(program),
+                 self.config_key(preset("baseline-sram")))
         key = artifact_key("profile", *parts)
 
         def compute():
             self.counters.note_simulation(key)
-            return profile_program(program, config=config,
-                                   max_instructions=max_instructions)
+            return profile_program(program)
 
         return self.artifact("profile", parts, compute)
 
@@ -256,15 +254,20 @@ class EvaluationContext:
         """Full analytic metric set for one (workload, structure),
         planned once per key.
 
-        The evaluation carries the placement too (``.config``, ``.plan``
-        and, on FTSPM, ``.mda_result``), so every reader of a mapping
-        reads it from here and a disk store replays it without planning.
+        The key fingerprints the resolved inputs
+        (:func:`~repro.eval.structures.placement_inputs`), so omitting
+        the preset config or the balanced thresholds names the same
+        evaluation as passing them.  The evaluation carries the
+        placement too (``.config``, ``.plan`` and, on FTSPM,
+        ``.mda_result``), so every reader of a mapping reads it from
+        here and a disk store replays it without planning.
         """
-        from ..eval.structures import evaluate_structure
+        from ..eval.structures import evaluate_structure, placement_inputs
 
-        parts = (self.profile_key(profile), structure,
-                 self.config_key(config) if config is not None else None,
-                 thresholds_fingerprint(thresholds))
+        config, thresholds = placement_inputs(structure, config, thresholds)
+        parts = (self.profile_key(profile), structure, self.config_key(config),
+                 None if thresholds is None
+                 else self._fingerprint_of(thresholds, thresholds_fingerprint))
 
         def compute():
             self.counters.evaluations += 1
@@ -305,24 +308,27 @@ class EvaluationContext:
         }
         return program, profile, runs
 
-    def simulation(self, program, profile, structure, config=None):
+    def simulation(self, program, profile, structure, expected=None):
         """Cycle-accurate run of a placed program on one structure.
 
-        The artifact is the scalar outcome set — cycle count, dynamic
-        and static energy, the region-surface vulnerability breakdown,
-        and per-STT wear — everything the scalar experiments consume,
-        in picklable form.
+        The artifact is the scalar outcome set, in picklable form:
+        cycles, instructions and seconds, dynamic and static energy,
+        the write count of the hottest STT-RAM word, whether every
+        ``expected`` symbol holds its word (``{symbol: value}``, part of
+        the key; none by default), and the evaluation's vulnerability
+        and reliability.  A disk store replays the kernels sweep and
+        the Section IV scalars without executing an instruction.
         """
         from ..core.online import build_machine
 
+        expected = sorted((expected or {}).items())
         parts = (self.program_key(program), self.profile_key(profile),
-                 structure,
-                 self.config_key(config) if config is not None else None)
+                 structure, expected)
         key = artifact_key("simulation", *parts)
 
         def compute():
             self.counters.note_simulation(key)
-            evaluation = self.evaluation(profile, structure, config=config)
+            evaluation = self.evaluation(profile, structure)
             machine = build_machine(program, evaluation.config,
                                     evaluation.plan, profile)
             run = machine.run()
@@ -332,50 +338,19 @@ class EvaluationContext:
                 "seconds": run.seconds,
                 "dynamic_energy": machine.dynamic_energy(),
                 "static_energy": machine.static_energy(),
+                "stt_writes": max(
+                    (device.max_word_writes
+                     for device in machine.memory.spm_devices()
+                     if device.technology_tag == "stt-ram"), default=0),
+                "verified": all(
+                    int.from_bytes(machine.memory.peek_bytes(
+                        program.symbol(symbol), 4), "little") == value
+                    for symbol, value in expected),
                 "vulnerability": evaluation.vulnerability,
                 "reliability": evaluation.reliability,
             }
 
         return self.artifact("simulation", parts, compute)
-
-    def kernel_run(self, name, structure, scale=1):
-        """Golden-verified full simulation of one kernel on one structure.
-
-        Scalars only (cycles, energies, hottest STT word writes, golden
-        verification verdict), so a disk store replays the whole
-        kernels-sweep without executing an instruction.
-        """
-        from ..core.online import build_machine
-
-        build = self.kernel_build(name, scale=scale)
-        profile = self.profile_of(build.program)
-        parts = (self.program_key(build.program),
-                 self.profile_key(profile), structure)
-        key = artifact_key("kernel-run", *parts)
-
-        def compute():
-            self.counters.note_simulation(key)
-            evaluation = self.evaluation(profile, structure)
-            machine = build_machine(build.program, evaluation.config,
-                                    evaluation.plan, profile)
-            run = machine.run()
-            verified = all(
-                int.from_bytes(machine.memory.peek_bytes(
-                    build.program.symbol(symbol), 4), "little") == expected
-                for symbol, expected in build.expected.items())
-            stt_writes = max(
-                (device.max_word_writes
-                 for device in machine.memory.spm_devices()
-                 if device.technology_tag == "stt-ram"), default=0)
-            return {
-                "cycles": run.cycles,
-                "dynamic_energy": machine.dynamic_energy(),
-                "static_energy": machine.static_energy(),
-                "stt_writes": stt_writes,
-                "verified": verified,
-            }
-
-        return self.artifact("kernel-run", parts, compute)
 
     # --- internals -----------------------------------------------------------
 

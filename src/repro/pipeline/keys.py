@@ -21,7 +21,7 @@ import json
 from dataclasses import asdict, is_dataclass
 from enum import Enum
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def canonical_json(payload):
@@ -61,9 +61,7 @@ def config_fingerprint(config):
 
 
 def thresholds_fingerprint(thresholds):
-    """Digest of MDA thresholds; None (mode defaults) is its own value."""
-    if thresholds is None:
-        return "default"
+    """Digest of every field of MDA :class:`~repro.core.Thresholds`."""
     return digest(asdict(thresholds))
 
 

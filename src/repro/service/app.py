@@ -30,13 +30,13 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from .. import obs
-from ..campaign import (
-    DEFAULT_SHARD_SIZE,
-    CampaignRunner,
-    CampaignSpec,
-    ShardScheduler,
-)
+from ..campaign import CampaignRunner, CampaignSpec, ShardScheduler
 from ..campaign.seeding import SAMPLING_DISCIPLINE
+from ..config import (
+    DEFAULT_CAMPAIGN_SEED,
+    DEFAULT_MAX_RETRIES,
+    DEFAULT_SHARD_SIZE,
+)
 from ..core.priorities import OptimizationMode, thresholds_for_mode
 from ..errors import ReproError
 from ..eval.structures import STRUCTURES
@@ -75,9 +75,9 @@ _KIND_PARAMS = {
     "campaign": {
         "structure": (str, "ftspm"),
         "trials": (int, 100_000),
-        "seed": (int, 0xF7F7),
+        "seed": (int, DEFAULT_CAMPAIGN_SEED),
         "shard_size": (int, DEFAULT_SHARD_SIZE),
-        "retries": (int, 2),
+        "retries": (int, DEFAULT_MAX_RETRIES),
     },
 }
 
@@ -427,12 +427,9 @@ class ReproService:
             }, True
         # mapping
         structure = params["structure"]
-        thresholds = None
-        if structure == "ftspm":
-            thresholds = thresholds_for_mode(
-                OptimizationMode(params["mode"]))
-        evaluation = self.context.evaluation(profile, structure,
-                                             thresholds=thresholds)
+        evaluation = self.context.evaluation(
+            profile, structure,
+            thresholds=thresholds_for_mode(OptimizationMode(params["mode"])))
         plan = evaluation.plan
         result = {
             "structure": structure,

@@ -12,24 +12,29 @@ The guarantees under test:
 * a cache-backed run in a fresh process reproduces the fresh run's
   results byte-for-byte without executing a single simulation,
 * every reader of a placement takes it from the evaluation, so the MDA
-  runs once per key and never on a warm replay.
+  runs once per resolved key (the preset config and the balanced
+  thresholds name the same evaluation whether given or omitted) and
+  never on a warm replay.
 """
 
 import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
 import repro
-from repro.config import baseline_sram_config, ftspm_config
+from repro.config import baseline_sram_config, ftspm_config, preset
+from repro.core.priorities import OptimizationMode, thresholds_for_mode
 from repro.pipeline import (
     ArtifactStore,
     EvaluationContext,
     artifact_key,
     canonical_json,
     config_fingerprint,
+    digest,
     get_context,
     profile_fingerprint,
     program_fingerprint,
@@ -130,6 +135,33 @@ def test_context_simulates_each_artifact_exactly_once():
     assert counters.unique_simulations == counters.simulations
 
 
+def test_repeated_lookups_fingerprint_no_config_again(monkeypatch):
+    """The profiling platform and the structure presets are shared
+    instances, so their fingerprints are cached by identity instead of
+    pinning one cache entry per lookup."""
+    from repro.eval.structures import STRUCTURES
+    from repro.pipeline import context as context_module
+
+    fingerprinted = []
+
+    def counted(config):
+        fingerprinted.append(config)
+        return config_fingerprint(config)
+
+    monkeypatch.setattr(context_module, "config_fingerprint", counted)
+    context = EvaluationContext()
+
+    def lookups():
+        _, profile = context.case_study(**SCALE)
+        for structure in STRUCTURES:
+            context.evaluation(profile, structure)
+
+    lookups()
+    first = len(fingerprinted)
+    lookups()
+    assert len(fingerprinted) == first
+
+
 def test_default_context_scoping():
     original = get_context()
     scoped = EvaluationContext()
@@ -218,28 +250,63 @@ def test_report_simulates_each_pair_exactly_once():
 # --- one MDA run per key -----------------------------------------------------
 
 #: report sections that read a placement: Table II's decision log, Figs.
-#: 2 and 4's distributions, Fig. 5, the placed case-study runs and three
-#: of the four ablations that read the MDA plan (ablation-interleaving
-#: would add only Monte-Carlo time)
+#: 2 and 4's distributions, Fig. 5, the placed case-study runs and four
+#: of the five ablations that read the MDA plan (ablation-interleaving
+#: would add only Monte-Carlo time).  The 2/2/12 row of the region-size
+#: sweep and the balanced row of the priority modes pass the inputs
+#: Figs. 5-8 leave out.
 _PLAN_READERS = ("table2", "fig2", "fig4", "fig5", "case-scalars",
-                 "ablation-priorities", "ablation-reliability-awareness",
-                 "ablation-mbu")
+                 "ablation-region-sizes", "ablation-priorities",
+                 "ablation-reliability-awareness", "ablation-mbu")
+
+
+def _resolved_inputs(profile, structure, config, thresholds):
+    """What a plan is computed from, spelled one way: the structure's
+    preset config stands in for None, and on FTSPM the balanced
+    thresholds the MDA falls back to; the baselines' planners take no
+    thresholds."""
+    config = config or preset(structure)
+    if structure == "ftspm":
+        thresholds = digest(asdict(
+            thresholds or thresholds_for_mode(OptimizationMode.BALANCED)))
+    else:
+        thresholds = None
+    return (structure, profile_fingerprint(profile),
+            config_fingerprint(config), thresholds)
 
 
 @pytest.fixture
 def plan_calls(monkeypatch):
-    """Every ``plan_for_structure`` call, by structure."""
+    """Every ``plan_for_structure`` call, by its resolved inputs
+    (structure first)."""
     from repro.eval import structures
 
     calls = []
     original = structures.plan_for_structure
 
-    def counted(profile, structure, *args, **kwargs):
-        calls.append(structure)
-        return original(profile, structure, *args, **kwargs)
+    def counted(profile, structure, config=None, thresholds=None):
+        calls.append(_resolved_inputs(profile, structure, config,
+                                      thresholds))
+        return original(profile, structure, config, thresholds)
 
     monkeypatch.setattr(structures, "plan_for_structure", counted)
     return calls
+
+
+def test_omitted_and_explicit_inputs_share_one_evaluation(case_profile,
+                                                          plan_calls):
+    context = EvaluationContext()
+    implicit = context.evaluation(case_profile, "ftspm")
+    explicit = context.evaluation(
+        case_profile, "ftspm", config=ftspm_config(),
+        thresholds=thresholds_for_mode(OptimizationMode.BALANCED))
+    assert explicit is implicit
+    # the baselines' planners take no thresholds, so none reach the key
+    sram = context.evaluation(case_profile, "baseline-sram")
+    assert context.evaluation(
+        case_profile, "baseline-sram", config=baseline_sram_config(),
+        thresholds=thresholds_for_mode(OptimizationMode.RELIABILITY)) is sram
+    assert [call[0] for call in plan_calls] == ["ftspm", "baseline-sram"]
 
 
 def test_report_plans_each_key_once_and_never_when_warm(tmp_path,
@@ -255,6 +322,7 @@ def test_report_plans_each_key_once_and_never_when_warm(tmp_path,
     cold, cold_text = report()
     assert cold.counters.evaluations > 0
     assert len(plan_calls) == cold.counters.evaluations
+    assert len(plan_calls) == len(set(plan_calls))
     del plan_calls[:]
     warm, warm_text = report()
     assert plan_calls == []
@@ -271,4 +339,46 @@ def test_campaign_spec_and_evaluation_share_one_plan(tmp_path, plan_calls):
     with using_context(context):
         CampaignSpec.from_structure(profile, "ftspm", trials=1000, seed=7)
         context.evaluation(profile, "ftspm")
-    assert plan_calls == ["ftspm"]
+    assert [call[0] for call in plan_calls] == ["ftspm"]
+
+
+# --- one placed-run artifact -------------------------------------------------
+
+def test_kernels_sweep_replays_from_a_filled_store(tmp_path, monkeypatch):
+    from repro.eval.experiments import experiment_kernels_sweep
+    from repro.sim.machine import Machine
+
+    with using_context(EvaluationContext(store=tmp_path / "cache")):
+        cold = experiment_kernels_sweep(kernels=["crc32"])
+    machines = []
+    original = Machine.run
+
+    def counted(self, *args, **kwargs):
+        machines.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Machine, "run", counted)
+    warm = EvaluationContext(store=tmp_path / "cache")
+    with using_context(warm):
+        replay = experiment_kernels_sweep(kernels=["crc32"])
+    assert machines == []
+    assert warm.counters.simulations == 0
+    assert replay.data["runs"] == 3
+    assert replay.data["verified"] == replay.data["runs"]
+    assert replay.text == cold.text
+
+
+def test_expected_values_are_part_of_the_simulation_key():
+    context = EvaluationContext()
+    build = context.kernel_build("crc32")
+    profile = context.profile_of(build.program)
+    checked = context.simulation(build.program, profile, "ftspm",
+                                 expected=build.expected)
+    wrong = {symbol: value ^ 1 for symbol, value in build.expected.items()}
+    mismatch = context.simulation(build.program, profile, "ftspm",
+                                  expected=wrong)
+    assert checked["verified"] and not mismatch["verified"]
+    assert mismatch["cycles"] == checked["cycles"]
+    # the profiling run plus one run per distinct key
+    assert context.counters.simulations == 3
+    assert context.counters.unique_simulations == 3
