@@ -8,13 +8,13 @@ models.
 
 Typical use::
 
-    from repro import assemble, Machine, ftspm_config
+    from repro import assemble, ftspm_config
     from repro.core import MappingDeterminer
     from repro.profile import profile_program
 
     program = assemble(source)
-    profile = profile_program(program, ftspm_config())
-    plan = MappingDeterminer(ftspm_config()).map(profile)
+    profile = profile_program(program)  # on the pure-SRAM platform
+    plan = MappingDeterminer(ftspm_config()).map(profile).plan
 
 See ``examples/quickstart.py`` for the end-to-end flow.
 """

@@ -20,8 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..isa.instructions import INSTRUCTION_BYTES, Mnemonic, Condition
-from ..isa.registers import PC
+from ..isa.instructions import (
+    INSTRUCTION_BYTES,
+    Condition,
+    Mnemonic,
+    ends_block,
+)
 
 #: registers an ARM-style call may clobber (plus LR and the flags)
 CALL_CLOBBERED = frozenset({0, 1, 2, 3, 12})
@@ -29,20 +33,11 @@ CALL_CLOBBERED = frozenset({0, 1, 2, 3, 12})
 CALL_ARGUMENTS = frozenset({0, 1, 2, 3})
 
 
-def writes_pc(instruction):
-    """True when the instruction writes the program counter directly."""
-    from ..isa.instructions import WRITES_FIRST_OPERAND
-    if instruction.mnemonic in WRITES_FIRST_OPERAND and instruction.operands:
-        op = instruction.operands[0]
-        return op.is_register and op.value == PC
-    if instruction.mnemonic is Mnemonic.POP:
-        return PC in instruction.operands[0].value
-    return False
-
-
 def is_return(instruction):
-    """True for instructions that leave the current function."""
-    return instruction.mnemonic is Mnemonic.BX or writes_pc(instruction)
+    """True for instructions that leave the current function: ``bx`` or
+    a write to PC, every block ender but a direct branch or ``halt``."""
+    return ends_block(instruction) and instruction.mnemonic not in (
+        Mnemonic.B, Mnemonic.BL, Mnemonic.HALT)
 
 
 @dataclass
@@ -154,13 +149,6 @@ def _branch_target(instruction):
     return None
 
 
-def _ends_block(instruction):
-    if instruction.mnemonic in (Mnemonic.B, Mnemonic.BL, Mnemonic.BX,
-                                Mnemonic.HALT):
-        return True
-    return writes_pc(instruction)
-
-
 def build_cfg(program):
     """Construct the :class:`ControlFlowGraph` for an assembled program."""
     addresses = sorted(program.instructions)
@@ -179,7 +167,7 @@ def build_cfg(program):
         target = _branch_target(instruction)
         if target is not None and target in address_set:
             leaders.add(target)
-        if _ends_block(instruction):
+        if ends_block(instruction):
             follower = address + INSTRUCTION_BYTES
             if follower in address_set:
                 leaders.add(follower)
@@ -192,7 +180,7 @@ def build_cfg(program):
             current = BasicBlock(start=address, instructions=[])
             blocks[address] = current
         current.instructions.append((address, program.instructions[address]))
-        if _ends_block(program.instructions[address]):
+        if ends_block(program.instructions[address]):
             current = None
 
     # --- edges ------------------------------------------------------------

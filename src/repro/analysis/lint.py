@@ -133,11 +133,9 @@ def lint_source(text, name="<source>"):
     return lint_program(program, source=name)
 
 
-def lint_program(program, analysis=None, source=None):
+def lint_program(program, source=None):
     """Run every lint rule over an assembled program."""
-    if analysis is None:
-        analysis = ProgramAnalysis(program)
-    linter = _Linter(program, analysis,
+    linter = _Linter(program, ProgramAnalysis(program),
                      source or program.source_name or "<program>")
     return linter.run()
 

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..isa.instructions import Condition, Mnemonic
-from ..isa.registers import LR
+from ..isa.instructions import Condition, Mnemonic, writes_register
+from ..isa.registers import LR, PC
 from ..profile.blocks import (
     BlockKind,
     ProgramBlock,
@@ -37,7 +37,7 @@ from ..profile.blocks import (
 )
 from ..profile.bounds import BlockAccessBounds, CountBounds, StaticProfile
 from ..profile.profiler import BlockStats
-from .cfg import build_cfg, is_return, writes_pc
+from .cfg import build_cfg, is_return
 from .loops import infer_trip_counts
 from .values import ConstantPropagation
 
@@ -148,8 +148,7 @@ class ProgramAnalysis:
                         "indirect branch at 0x%05x: upper bounds dropped"
                         % address)
                     return True
-            elif writes_pc(instruction) and (
-                    instruction.mnemonic is not Mnemonic.POP):
+            elif writes_register(instruction, PC):
                 self.assumptions.append(
                     "pc write at 0x%05x: upper bounds dropped" % address)
                 return True
@@ -499,18 +498,16 @@ class ProgramAnalysis:
         return max(depth.values(), default=0)
 
 
-def build_static_profile(program, include_stack=True):
+def build_static_profile(program):
     """Derive a :class:`StaticProfile` without running the program."""
-    analysis = ProgramAnalysis(program)
-    return _StaticProfileBuilder(analysis, include_stack).build()
+    return _StaticProfileBuilder(ProgramAnalysis(program)).build()
 
 
 class _StaticProfileBuilder:
-    def __init__(self, analysis, include_stack):
+    def __init__(self, analysis):
         self.analysis = analysis
-        self.include_stack = include_stack
         self.program = analysis.program
-        blocks = enumerate_blocks(self.program, include_stack=include_stack)
+        blocks = enumerate_blocks(self.program)
         self.stats = {block.name: BlockStats(block) for block in blocks}
         self.bounds = {block.name: BlockAccessBounds() for block in blocks}
         self.touch_windows = {}  # block name -> (begin, end)
@@ -534,9 +531,7 @@ class _StaticProfileBuilder:
                 if stats.kind.is_data_like]
 
     def _record(self, name, count, is_write, window, references=None):
-        stats = self.stats.get(name)
-        if stats is None:
-            return
+        stats = self.stats[name]
         bounds = self.bounds[name]
         if is_write:
             stats.writes += count.est
@@ -649,11 +644,10 @@ class _StaticProfileBuilder:
         if instruction.condition is not Condition.AL:
             count = count.conditional()
         if mnemonic in (Mnemonic.PUSH, Mnemonic.POP):
-            if self.include_stack:
-                width = len(instruction.operands[0].value)
-                self._record(STACK_BLOCK_NAME, count.scaled(width),
-                             is_write=mnemonic is Mnemonic.PUSH,
-                             window=window, references=count.est)
+            width = len(instruction.operands[0].value)
+            self._record(STACK_BLOCK_NAME, count.scaled(width),
+                         is_write=mnemonic is Mnemonic.PUSH,
+                         window=window, references=count.est)
             return
         if mnemonic not in (Mnemonic.LDR, Mnemonic.LDRB,
                             Mnemonic.STR, Mnemonic.STRB):
@@ -696,9 +690,7 @@ class _StaticProfileBuilder:
 
     def _stack_shape(self):
         """Mirror the dynamic profiler's footprint shrink, statically."""
-        stack = self.stats.get(STACK_BLOCK_NAME)
-        if stack is None:
-            return
+        stack = self.stats[STACK_BLOCK_NAME]
         touched = (stack.reads or stack.writes
                    or self.bounds[STACK_BLOCK_NAME].reads.hi != 0
                    or self.bounds[STACK_BLOCK_NAME].writes.hi != 0)

@@ -92,10 +92,10 @@ def _golden_profile(name):
     raise CampaignError("unknown golden campaign workload %r" % name)
 
 
-def golden_campaign_spec(name, structure=GOLDEN_STRUCTURE):
+def golden_campaign_spec(name):
     """The canonical small campaign of one corpus entry."""
     return CampaignSpec.from_structure(
-        _golden_profile(name), structure, trials=GOLDEN_TRIALS,
+        _golden_profile(name), GOLDEN_STRUCTURE, trials=GOLDEN_TRIALS,
         seed=GOLDEN_SEED, shard_size=GOLDEN_SHARD_SIZE)
 
 

@@ -63,21 +63,29 @@ def execute_shard(spec, index):
 
 
 def shard_worker(spec, index, trace_ctx=None):
-    """Pool entry point: ``(index, result_dict, elapsed, spans)``.
+    """Run one shard: ``(index, result_dict, elapsed, spans)``.
 
-    ``trace_ctx`` is the parent's serialized span context (see
-    :func:`repro.obs.context.capture`); when present the shard runs
-    under a real worker-side ``campaign.shard`` span and the exported
-    span records travel back in the result tuple for the parent to
-    stitch into its trace.  When absent (tracing off) ``spans`` is
-    empty and no obs code runs in the worker.
+    The entry point of pool workers and of the serial runner alike, so
+    every shard runs under one ``campaign.shard`` span.  ``trace_ctx``
+    is the parent's serialized span context (see
+    :func:`repro.obs.context.capture`); when present the worker records
+    the span and the exported records travel back in the result tuple
+    for the parent to stitch into its trace; a failed attempt's records
+    ride on the raised exception as ``spans``.  When absent ``spans`` is
+    empty: in a pool worker with tracing off no obs code runs, and an
+    in-process caller's span lands on its own tracer, under the span
+    it has open.
     """
     start = time.perf_counter()
-    with obs_context.recording(trace_ctx) as collector:
-        with obs.span("campaign.shard", category="campaign",
-                      attrs={"shard": index,
-                             "trials": spec.shard_trials(index),
-                             "seed": spec.shard_seed(index)}):
-            result = execute_shard(spec, index)
+    try:
+        with obs_context.recording(trace_ctx) as collector:
+            with obs.span("campaign.shard", category="campaign",
+                          attrs={"shard": index,
+                                 "trials": spec.shard_trials(index),
+                                 "seed": spec.shard_seed(index)}):
+                result = execute_shard(spec, index)
+    except Exception as error:
+        error.spans = collector.records
+        raise
     return (index, result.to_dict(), time.perf_counter() - start,
             collector.records)

@@ -40,16 +40,11 @@ from ..eval.tables import render_table
 from ..faults.injector import CampaignResult
 from ..obs import context as obs_context
 from .checkpoint import RunDirectory
-from .executor import FAIL_SHARDS_ENV  # noqa: F401  (re-export: test hook)
-from .executor import execute_shard as _execute_shard
+from .executor import shard_worker
 from .progress import ProgressEvent, progress_to_metrics
 from .scheduler import ShardListener, ShardScheduler
 from .seeding import SAMPLING_DISCIPLINE
 from .stats import wilson_interval
-
-#: synthetic Chrome-trace lane base so overlapping shard spans render on
-#: per-shard tracks instead of as a bogus nesting on the caller thread
-_SHARD_LANE_BASE = 10_000
 
 
 @dataclass
@@ -316,16 +311,13 @@ class CampaignRunner:
             attempts = 0
             while True:
                 attempts += 1
-                shard_start = time.perf_counter()
                 try:
-                    result = _execute_shard(self.spec, index)
+                    _, result, elapsed, _ = shard_worker(self.spec, index)
                 except Exception as error:
                     if not state.note_failure(index, attempts, error):
                         break  # retries exhausted; recorded as failed
                 else:
-                    state.note_success(
-                        index, attempts, result.to_dict(),
-                        time.perf_counter() - shard_start)
+                    state.note_success(index, attempts, result, elapsed)
                     break
 
     def _run_scheduled(self, pending, state):
@@ -335,13 +327,11 @@ class CampaignRunner:
             scheduler = ShardScheduler(workers=self.jobs)
         try:
             # Capture the open campaign.run span so worker processes
-            # record real, correctly parented shard spans; the runner
-            # then skips its synthetic lane spans for this run.
-            trace_ctx = obs_context.capture()
-            state.worker_traced = trace_ctx is not None
+            # record real, correctly parented shard spans.
             job = scheduler.submit(
                 self.spec, indices=pending, max_retries=self.max_retries,
-                listener=_RunnerListener(state), trace_ctx=trace_ctx)
+                listener=_RunnerListener(state),
+                trace_ctx=obs_context.capture())
             self._active_job = job
             if self._drain_requested.is_set():
                 job.drop_pending()  # the drain raced the submit
@@ -392,7 +382,6 @@ class _RunState:
         self.start = start
         self.fresh_trials = 0
         self.drained = False
-        self.worker_traced = False  # workers record their own spans
         self.steals = 0
         self.retries = 0
 
@@ -411,18 +400,6 @@ class _RunState:
         self.records[index] = record
         self.fresh_trials += record.trials
         self._checkpoint(record)
-        # The shard executed elsewhere (a worker process, or inline
-        # just now); file its span from the measured elapsed time, on
-        # a per-shard lane so parallel shards render side by side —
-        # unless the workers traced themselves (worker_traced), in
-        # which case their real spans arrive via the scheduler's
-        # ingest and a synthetic twin would duplicate them.
-        if not self.worker_traced:
-            obs.add_complete_span(
-                "campaign.shard", elapsed or 0.0, category="campaign",
-                attrs={"shard": index, "trials": record.trials,
-                       "attempts": attempts, "seed": record.seed},
-                tid=_SHARD_LANE_BASE + index)
         self.notify("shard-ok", shard=index, attempt=attempts,
                     shard_elapsed=elapsed)
 

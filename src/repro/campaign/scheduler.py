@@ -272,6 +272,8 @@ class ShardScheduler:
                 self._note_attempt_failed(
                     job, index, CampaignError("worker process died"))
             except Exception as error:
+                # a failed attempt's worker span joins the trace too
+                obs_context.ingest(getattr(error, "spans", ()))
                 self._note_attempt_failed(job, index, error)
             else:
                 job.attempts[index] += 1

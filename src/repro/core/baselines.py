@@ -70,14 +70,14 @@ def pure_sttram_plan(profile, config):
     return pure_sram_plan(profile, config)
 
 
-def steinke_energy_plan(profile, config, energy_models=None):
+def steinke_energy_plan(profile, config):
     """Energy-first allocation (Steinke-style knapsack by density).
 
     Regions are tried cheapest-first by average access energy; block
     priority is access density (accesses per byte), the classic greedy
     relaxation of the Steinke ILP.
     """
-    energy_models = energy_models or energy_models_for(config)
+    energy_models = energy_models_for(config)
     plan = MappingPlan.empty(config)
     _map_code_blocks(plan, profile, config.instruction_spm.regions[0].name)
 

@@ -37,20 +37,18 @@ def schedule_for_plan(plan, profile):
     return schedule
 
 
-def build_machine(program, config, plan=None, profile=None,
-                  energy_models=None):
+def build_machine(program, config, plan=None, profile=None):
     """Wire a ready-to-run :class:`Machine` for a placement.
 
     With ``plan`` (and the ``profile`` that provides home addresses), the
     machine starts with the plan's static mappings scheduled; without a
     plan it runs everything through the cache.
     """
-    energy_models = energy_models or energy_models_for(config)
     schedule = None
     if plan is not None:
         if profile is None:
             raise MappingError(
                 "building a machine from a plan needs the profile")
         schedule = schedule_for_plan(plan, profile)
-    return Machine(program, config, energy_models=energy_models,
+    return Machine(program, config, energy_models=energy_models_for(config),
                    schedule=schedule)

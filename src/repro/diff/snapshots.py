@@ -103,13 +103,12 @@ def write_snapshot(path, snapshot):
     return path
 
 
-def write_mapping_golden(directory, names=None, flavors=None,
-                         context=None):
+def write_mapping_golden(directory, names=None):
     """Refresh the corpus in ``directory``; returns the written paths."""
     os.makedirs(directory, exist_ok=True)
     written = []
-    for workload, flavor in snapshot_names(names, flavors):
-        snapshot = compute_snapshot(workload, flavor, context=context)
+    for workload, flavor in snapshot_names(names):
+        snapshot = compute_snapshot(workload, flavor)
         written.append(write_snapshot(
             snapshot_path(directory, workload, flavor), snapshot))
     return written

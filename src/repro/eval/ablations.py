@@ -28,6 +28,10 @@ from ..tech.params import TECHNOLOGY_NODES
 from ..workloads.synthetic import mibench_names
 from .experiments import EXPERIMENTS, ExperimentResult
 
+#: independent strikes per word over one mission, for the scrubbing
+#: ablation's accumulation campaigns
+SCRUB_STRIKE_RATE = 1.5
+
 
 def _geomean(values):
     finite = [v for v in values if 0 < v != float("inf")]
@@ -296,7 +300,7 @@ def experiment_ablation_interleaving(trials=25_000, seed=0x1EAF):
               "*reducing* energy, which is the paper's core trade.")
 
 
-def experiment_ablation_scrubbing(words=8_000, strike_rate=1.5):
+def experiment_ablation_scrubbing(words=8_000):
     """Scrubbing frequency vs accumulated-error vulnerability.
 
     Beyond the paper: independent strikes accumulate between reads, so
@@ -322,7 +326,7 @@ def experiment_ablation_scrubbing(words=8_000, strike_rate=1.5):
             def accumulate(protection=protection, epochs=epochs,
                            seed=seed):
                 campaign = AccumulationCampaign(
-                    protection=protection, strike_rate=strike_rate,
+                    protection=protection, strike_rate=SCRUB_STRIKE_RATE,
                     scrub_epochs=epochs, seed=seed)
                 result = campaign.run(words=words)
                 return {
@@ -334,7 +338,7 @@ def experiment_ablation_scrubbing(words=8_000, strike_rate=1.5):
 
             outcome = context.artifact(
                 "scrub-mc",
-                (protection.value, words, strike_rate, epochs, seed),
+                (protection.value, words, SCRUB_STRIKE_RATE, epochs, seed),
                 accumulate)
             rows.append([label, epochs, outcome["harmful_fraction"],
                          outcome["sdc_fraction"],
@@ -347,7 +351,7 @@ def experiment_ablation_scrubbing(words=8_000, strike_rate=1.5):
     return ExperimentResult(
         name="ablation-scrubbing",
         title="Ablation: error accumulation vs scrub frequency "
-              "(strike rate %.1f strikes/word/mission)" % strike_rate,
+              "(strike rate %.1f strikes/word/mission)" % SCRUB_STRIKE_RATE,
         headers=headers, rows=rows, data=data,
         notes="Scrubbing trades read energy for cleaning accumulated "
               "singles before they pair into DUEs/SDCs; the immune "

@@ -210,9 +210,9 @@ def experiment_fig2(array_words=256, outer_iterations=4):
 
 # --- Fig. 3 -------------------------------------------------------------------
 
-def experiment_fig3(node_nm=40):
+def experiment_fig3():
     """Fig. 3: dynamic energy per access of every region type."""
-    model = ArrayModel(node_nm)
+    model = ArrayModel()
     from ..config import MemoryTechnology, Protection
     regions = [
         ("parity SRAM 2KB", MemoryTechnology.SRAM, 2048, Protection.PARITY),
@@ -247,7 +247,7 @@ def experiment_fig3(node_nm=40):
     return ExperimentResult(
         name="fig3",
         title="Fig. 3: dynamic energy per access (nvsim-lite, %d nm)"
-              % node_nm,
+              % model.node_nm,
         headers=headers, rows=rows, data=data)
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from .registers import PC
+
 
 class Mnemonic(enum.Enum):
     """Every operation the core can execute."""
@@ -221,3 +223,27 @@ WRITES_FIRST_OPERAND = frozenset({
 
 #: mnemonics that always update the condition flags
 ALWAYS_SETS_FLAGS = frozenset({Mnemonic.CMP, Mnemonic.CMN, Mnemonic.TST})
+
+#: mnemonics that always end a basic block
+_BLOCK_ENDERS = frozenset({Mnemonic.B, Mnemonic.BL, Mnemonic.BX,
+                           Mnemonic.HALT})
+
+
+def writes_register(instruction, register):
+    """True when ``register`` is the instruction's destination operand."""
+    if instruction.mnemonic in WRITES_FIRST_OPERAND and instruction.operands:
+        first = instruction.operands[0]
+        return first.is_register and first.value == register
+    return False
+
+
+def ends_block(instruction):
+    """True when control may leave the straight line after
+    ``instruction``: B/BL/BX/HALT, or a write to PC (including
+    ``pop {..., pc}``)."""
+    mnemonic = instruction.mnemonic
+    if mnemonic in _BLOCK_ENDERS:
+        return True
+    if mnemonic is Mnemonic.POP:
+        return PC in instruction.operands[0].value
+    return writes_register(instruction, PC)

@@ -59,7 +59,6 @@ __all__ = [
     "NULL_SPAN",
     "Span",
     "Tracer",
-    "add_complete_span",
     "chrome_trace_document",
     "current_ledger",
     "current_tracer",
@@ -164,15 +163,6 @@ def span(name, category="repro", attrs=None):
     if not _enabled:
         return NULL_SPAN
     return _tracer.span(name, category=category, attrs=attrs)
-
-
-def add_complete_span(name, duration, category="repro", attrs=None,
-                      tid=None):
-    """File an externally-timed span (no-op while disabled)."""
-    if not _enabled:
-        return NULL_SPAN
-    return _tracer.add_complete_span(name, duration, category=category,
-                                     attrs=attrs, tid=tid)
 
 
 def inc(name, amount=1, help="", **labels):

@@ -1,8 +1,8 @@
 """Cross-process trace context: stitch worker spans under the parent.
 
-The tracer is per-process, so until now a traced campaign saw its
-worker shards only as synthetic lane spans timed from the pool result.
-This module closes the gap with three small pieces:
+The tracer is per-process, so the spans a pool worker records would
+stay in the worker.  This module carries them home with three small
+pieces:
 
 * :func:`capture` — serialize the calling thread's active span into a
   plain dict (the *trace context*) that travels in the pickled task
@@ -59,12 +59,13 @@ class SpanCollector:
 def recording(ctx):
     """Worker-side scope: trace one task and export what it recorded.
 
-    With ``ctx`` None (tracing disabled at the parent) this is a
-    passthrough.  Otherwise the obs layer is enabled for the scope,
-    every span recorded inside is exported through
-    :func:`export_records` into the yielded :class:`SpanCollector`,
-    and — unless the layer was already on (an in-process caller) — the
-    worker's obs state is reset so nothing leaks into the next task.
+    With ``ctx`` None (tracing disabled at the parent, or a caller
+    that records onto its own tracer) this is a passthrough.
+    Otherwise the obs layer is enabled for the scope, every span
+    recorded inside is exported through :func:`export_records` into
+    the yielded :class:`SpanCollector`, and — unless the layer was
+    already on (an in-process caller) — the worker's obs state is
+    reset so nothing leaks into the next task.
     """
     import os
 

@@ -3,11 +3,12 @@
 The trace exporter emits the Trace Event Format that both
 ``chrome://tracing`` and https://ui.perfetto.dev load directly: one
 ``"ph": "X"`` (complete) event per span with microsecond timestamps,
-plus ``"M"`` metadata events naming the process and any synthetic lanes
-(campaign shard tracks).  The metrics exporter renders the registry in
-the Prometheus text exposition format, one ``# HELP``/``# TYPE`` header
-per metric and one sample line per label set (histograms expand to the
-conventional ``_bucket``/``_sum``/``_count`` series).
+plus ``"M"`` metadata events naming every thread and process track
+(stitched campaign workers get their own process tracks).  The metrics
+exporter renders the registry in the Prometheus text exposition format,
+one ``# HELP``/``# TYPE`` header per metric and one sample line per
+label set (histograms expand to the conventional
+``_bucket``/``_sum``/``_count`` series).
 """
 
 from __future__ import annotations

@@ -11,13 +11,10 @@ with (and therefore always nest cleanly under) the parent run's spans.
 Timing uses ``time.perf_counter_ns`` (monotonic); timestamps are stored
 relative to the tracer's epoch, so exported traces start near zero.
 
-Two recording paths:
-
-* :meth:`Tracer.span` — a context manager for work happening *in this
-  process*: enter starts the clock, exit stops it and files the span,
-* :meth:`Tracer.add_complete_span` — for work that already happened
-  (e.g. a campaign shard executed in a worker process, whose elapsed
-  wall-clock the parent learns from the pool result).
+:meth:`Tracer.span` is the one recording path: a context manager whose
+enter starts the clock and whose exit stops it and files the span.
+Spans recorded in another process (campaign shards on pool workers)
+arrive already timed through :meth:`Tracer.ingest`.
 
 When tracing is disabled the module-level :data:`NULL_SPAN` is handed
 out instead: one shared, stateless object whose enter/exit do nothing,
@@ -189,35 +186,6 @@ class Tracer:
             attrs=dict(attrs) if attrs else {},
             tracer=self,
         )
-
-    def add_complete_span(self, name, duration, category="repro",
-                          attrs=None, tid=None, end_ns=None):
-        """File a span for work that already happened.
-
-        ``duration`` is in seconds; the span is laid out ending now (or
-        at ``end_ns``, relative to the epoch).  ``tid`` may carry a
-        synthetic lane id so overlapping externally-timed spans (e.g.
-        parallel campaign shards) render on separate tracks instead of
-        as a bogus nesting.
-        """
-        duration_ns = int(duration * 1e9)
-        if end_ns is None:
-            end_ns = self._now()
-        parent = self.current_span()
-        span = Span(
-            name=name,
-            category=category,
-            span_id=self._new_id(),
-            parent_id=parent.span_id if parent is not None else None,
-            pid=self.pid,
-            tid=tid if tid is not None else threading.get_native_id(),
-            start_ns=max(0, end_ns - duration_ns),
-            duration_ns=duration_ns,
-            attrs=dict(attrs) if attrs else {},
-            tracer=self,
-        )
-        self._record(span)
-        return span
 
     def ingest(self, records):
         """File span records exported by another process's tracer.

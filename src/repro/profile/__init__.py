@@ -9,8 +9,8 @@ for every program block (function, data object, stack):
 * the block's *life-time* in cycles,
 
 plus the ACE (architecturally correct execution) time used by the AVF
-reliability model.  :func:`profile_program` runs the program once on a
-profiling platform and returns a :class:`Profile`.
+reliability model.  :func:`profile_program` runs the program once on the
+pure-SRAM profiling platform and returns a :class:`Profile`.
 """
 
 from .blocks import BlockKind, ProgramBlock, enumerate_blocks, STACK_BLOCK_NAME

@@ -65,11 +65,11 @@ class BlockIndex:
         return None
 
 
-def enumerate_blocks(program, include_stack=True, stack_size=None):
+def enumerate_blocks(program):
     """Extract every :class:`ProgramBlock` from an assembled program.
 
     Code blocks come from ``.func`` markers, data blocks from data-section
-    labels, and (optionally) one stack block covering the top-of-stack
+    labels, and one stack block covering the program's top-of-stack
     window.
     """
     blocks = []
@@ -90,15 +90,13 @@ def enumerate_blocks(program, include_stack=True, stack_size=None):
             home_start=data_object.start,
             size=data_object.size,
         ))
-    if include_stack:
-        _check_unique(STACK_BLOCK_NAME, seen)
-        size = stack_size or program.stack_size
-        blocks.append(ProgramBlock(
-            name=STACK_BLOCK_NAME,
-            kind=BlockKind.STACK,
-            home_start=program.stack_top - size,
-            size=size,
-        ))
+    _check_unique(STACK_BLOCK_NAME, seen)
+    blocks.append(ProgramBlock(
+        name=STACK_BLOCK_NAME,
+        kind=BlockKind.STACK,
+        home_start=program.stack_top - program.stack_size,
+        size=program.stack_size,
+    ))
     return blocks
 
 

@@ -24,9 +24,9 @@ it is the oracle the column profile is held against
 (:func:`live_profile`, ``tests/test_profile_columns.py``,
 ``repro golden``).
 
-The profiling platform defaults to the pure-SRAM baseline with no SPM
-mapping installed, matching the paper's static-profiling phase (counts
-and orderings are what the mapping algorithm consumes).
+The profiling platform is the pure-SRAM baseline with no SPM mapping
+installed, matching the paper's static-profiling phase (counts and
+orderings are what the mapping algorithm consumes).
 """
 
 from __future__ import annotations
@@ -154,10 +154,9 @@ class Profiler(EventSubscriber):
     accesses, and call events uniformly (and puts the fast engine in
     its granular per-access mode)."""
 
-    def __init__(self, machine, include_stack=True):
+    def __init__(self, machine):
         self.machine = machine
-        program = machine.program
-        blocks = enumerate_blocks(program, include_stack=include_stack)
+        blocks = enumerate_blocks(machine.program)
         self._stats = {block.name: BlockStats(block) for block in blocks}
         self._code_index = BlockIndex(
             [b for b in blocks if b.kind is BlockKind.CODE])
@@ -287,9 +286,9 @@ def _shrink_stack_block(stats, stack_low):
     rounded up to 64 bytes, makes the Stack block a realistic SPM
     mapping candidate while still covering every touched address.
     """
-    stack_stats = stats.get(STACK_BLOCK_NAME)
-    if stack_stats is None or stack_low is None:
+    if stack_low is None:
         return
+    stack_stats = stats[STACK_BLOCK_NAME]
     top = stack_stats.block.home_end
     footprint = top - stack_low
     footprint = (footprint + 63) // 64 * 64
@@ -301,10 +300,10 @@ def _shrink_stack_block(stats, stack_low):
     )
 
 
-def profile_program(program, config=None, max_instructions=None):
+def profile_program(program, max_instructions=None):
     """Run ``program`` once on the profiling platform and profile it.
 
-    ``config`` defaults to the pure-SRAM baseline with an empty transfer
+    The platform is the pure-SRAM baseline with an empty transfer
     schedule (every access through the cache), mirroring the paper's
     platform-neutral static profiling step.  A
     :class:`~repro.profile.columns.ProfileRecorder` takes the event
@@ -317,9 +316,8 @@ def profile_program(program, config=None, max_instructions=None):
     # module, not the recorder
     from .columns import ProfileRecorder
 
-    config = config or baseline_sram_config()
     blocks = enumerate_blocks(program)
-    machine = Machine(program, config)
+    machine = Machine(program, baseline_sram_config())
     recorder = ProfileRecorder(blocks, program.stack_top).attach(machine)
     if max_instructions is None:
         machine.run()
@@ -340,12 +338,11 @@ def profile_program(program, config=None, max_instructions=None):
     )
 
 
-def live_profile(program, config=None, max_instructions=None):
+def live_profile(program, max_instructions=None):
     """:func:`profile_program` computed by the live :class:`Profiler`
     subscriber instead of the columns: the oracle the tests and
     ``repro golden`` compare the column profile against."""
-    config = config or baseline_sram_config()
-    machine = Machine(program, config)
+    machine = Machine(program, baseline_sram_config())
     profiler = Profiler(machine).attach()
     if max_instructions is None:
         machine.run()

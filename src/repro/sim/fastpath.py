@@ -66,7 +66,8 @@ from ..isa.instructions import (
     INSTRUCTION_BYTES,
     Condition,
     Mnemonic,
-    WRITES_FIRST_OPERAND,
+    ends_block,
+    writes_register,
 )
 from ..isa.registers import LR, PC, SP
 from ..mem.hierarchy import AccessType
@@ -84,30 +85,10 @@ _STEP = object()
 
 _MAX_BLOCK = 128
 
-_BLOCK_ENDERS = frozenset({Mnemonic.B, Mnemonic.BL, Mnemonic.BX,
-                           Mnemonic.HALT})
-
-
-def _writes_register(instruction, register):
-    mnemonic = instruction.mnemonic
-    if mnemonic in WRITES_FIRST_OPERAND:
-        first = instruction.operands[0]
-        return first.is_register and first.value == register
-    return False
-
-
-def _ends_block(instruction):
-    mnemonic = instruction.mnemonic
-    if mnemonic in _BLOCK_ENDERS:
-        return True
-    if mnemonic is Mnemonic.POP:
-        return PC in instruction.operands[0].value
-    return _writes_register(instruction, PC)
-
 
 def _moves_sp(instruction):
     return (instruction.mnemonic in (Mnemonic.PUSH, Mnemonic.POP)
-            or _writes_register(instruction, SP))
+            or writes_register(instruction, SP))
 
 
 class _Block:
@@ -263,7 +244,7 @@ class FastEngine:
             mnemonics.append(instruction.mnemonic)
             ops.append(self._compile(instruction,
                                      address + INSTRUCTION_BYTES))
-            if _ends_block(instruction) or len(ops) >= _MAX_BLOCK:
+            if ends_block(instruction) or len(ops) >= _MAX_BLOCK:
                 break
             address += INSTRUCTION_BYTES
             if address in splits:

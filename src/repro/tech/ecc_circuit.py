@@ -20,6 +20,12 @@ from dataclasses import dataclass
 
 from .params import node_params
 
+#: fraction of the gates that switch per encode or decode
+SWITCHING_ACTIVITY = 0.5
+#: fraction of the clock cycle left for the decoder after the array
+#: access itself (the memory stage's slack)
+STAGE_FRACTION = 0.4
+
 
 @dataclass(frozen=True)
 class CodecEstimate:
@@ -35,24 +41,21 @@ class CodecEstimate:
     encode_delay: float  # seconds
     decode_delay: float  # seconds
 
-    def fits_in_cycle(self, clock_hz, stage_fraction=0.4):
-        """Whether decode fits in the memory-stage slack of one cycle.
+    def fits_in_cycle(self, clock_hz):
+        """Whether decode fits in the memory-stage slack of one cycle
+        (:data:`STAGE_FRACTION` of it)."""
+        return self.decode_delay <= STAGE_FRACTION / clock_hz
 
-        ``stage_fraction`` is the fraction of the cycle left after the
-        array access itself.
-        """
-        return self.decode_delay <= stage_fraction / clock_hz
-
-    def extra_cycles(self, clock_hz, stage_fraction=0.4):
+    def extra_cycles(self, clock_hz):
         """Pipeline cycles added by the decoder at a given clock."""
-        slack = stage_fraction / clock_hz
+        slack = STAGE_FRACTION / clock_hz
         if self.decode_delay <= slack:
             return 0
         return math.ceil((self.decode_delay - slack) * clock_hz)
 
 
 def _estimate(name, encode_gates, decode_gates, encode_depth, decode_depth,
-              node_nm, activity=0.5):
+              node_nm):
     node = node_params(node_nm)
     return CodecEstimate(
         name=name,
@@ -60,8 +63,8 @@ def _estimate(name, encode_gates, decode_gates, encode_depth, decode_depth,
         decode_gates=decode_gates,
         encode_depth=encode_depth,
         decode_depth=decode_depth,
-        encode_energy=encode_gates * node.gate_energy * activity,
-        decode_energy=decode_gates * node.gate_energy * activity,
+        encode_energy=encode_gates * node.gate_energy * SWITCHING_ACTIVITY,
+        decode_energy=decode_gates * node.gate_energy * SWITCHING_ACTIVITY,
         encode_delay=encode_depth * node.gate_delay,
         decode_delay=decode_depth * node.gate_delay,
     )

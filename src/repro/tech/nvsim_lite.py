@@ -122,14 +122,14 @@ class ArrayModel:
         return array_area * 1.35 * 1e6
 
 
-def energy_models_for(config, node_nm=None):
+def energy_models_for(config):
     """Build the region-name -> :class:`EnergyModel` map for a platform.
 
-    Includes entries for every SPM region plus ``"cache"`` and ``"dram"``.
-    This is the glue between :mod:`repro.config` and
-    :class:`repro.mem.hierarchy.MemorySystem`.
+    Includes entries for every SPM region plus ``"cache"`` and ``"dram"``,
+    at the platform's ``technology_node_nm``.  This is the glue between
+    :mod:`repro.config` and :class:`repro.mem.hierarchy.MemorySystem`.
     """
-    model = ArrayModel(node_nm or config.technology_node_nm)
+    model = ArrayModel(config.technology_node_nm)
     models = {}
     for spm_config in (config.instruction_spm, config.data_spm):
         for region in spm_config.regions:

@@ -145,14 +145,18 @@ def cell_params(node, technology):
     raise ConfigurationError("unknown technology %r" % technology)
 
 
-def redundancy_factor(protection, word_bits=64):
+#: data bits per SEC-DED codeword: Hamming(72,64)
+SECDED_DATA_BITS = 64
+
+
+def redundancy_factor(protection):
     """Extra storage fraction required by a protection scheme.
 
     Parity: 1 check bit per 32-bit word.  SEC-DED: Hamming(72,64) — 8
-    check bits per 64 data bits.
+    check bits per :data:`SECDED_DATA_BITS` data bits.
     """
     if protection is Protection.PARITY:
         return 1.0 + 1.0 / 32.0
     if protection is Protection.SECDED:
-        return 1.0 + 8.0 / word_bits
+        return 1.0 + 8.0 / SECDED_DATA_BITS
     return 1.0

@@ -169,15 +169,12 @@ class TraceRecorder(EventSubscriber):
             self.trace.append(TraceRecord("R", event.address, event.size))
 
 
-def record_trace(program, config, schedule=None, max_instructions=None):
+def record_trace(program, config):
     """Run a program once and return its access trace."""
     from ..sim.machine import Machine
-    machine = Machine(program, config, schedule=schedule)
+    machine = Machine(program, config)
     recorder = TraceRecorder(machine).attach()
-    if max_instructions is None:
-        machine.run()
-    else:
-        machine.run(max_instructions=max_instructions)
+    machine.run()
     return recorder.detach()
 
 

@@ -25,7 +25,7 @@ from repro.campaign import (
     z_value,
 )
 from repro.campaign.batch.engine import TrialInjector
-from repro.campaign.runner import FAIL_SHARDS_ENV
+from repro.campaign.executor import FAIL_SHARDS_ENV
 from repro.config import Protection
 from repro.errors import CampaignError
 from repro.faults import CampaignResult, Target
@@ -361,8 +361,8 @@ def test_permanent_shard_failure_in_pool(sha_spec, monkeypatch):
 
 def test_transient_failure_is_retried(sha_spec, sha_reference,
                                       monkeypatch):
-    import repro.campaign.runner as runner_module
-    real = runner_module._execute_shard
+    import repro.campaign.executor as executor_module
+    real = executor_module.execute_shard
     calls = {"failed": 0}
 
     def flaky(spec, index):
@@ -371,7 +371,7 @@ def test_transient_failure_is_retried(sha_spec, sha_reference,
             raise RuntimeError("transient worker death")
         return real(spec, index)
 
-    monkeypatch.setattr(runner_module, "_execute_shard", flaky)
+    monkeypatch.setattr(executor_module, "execute_shard", flaky)
     summary = CampaignRunner(sha_spec, jobs=1, max_retries=2).run()
     assert calls["failed"] == 1
     assert summary.complete

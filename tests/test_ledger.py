@@ -19,6 +19,7 @@ import pytest
 
 from repro import cli, obs
 from repro.campaign import CampaignRunner, CampaignSpec
+from repro.campaign.executor import FAIL_SHARDS_ENV
 from repro.obs.context import capture, export_records, ingest, recording
 from repro.obs.ledger import (
     LEDGER_SCHEMA_VERSION,
@@ -199,7 +200,8 @@ def test_racing_processes_append_whole_lines(tmp_path):
 def test_capture_is_none_while_disabled():
     assert capture() is None
     with recording(None) as collector:
-        obs.add_complete_span("ignored", 0, 1)
+        with obs.span("ignored"):
+            pass
     assert collector.records == []
 
 
@@ -260,8 +262,7 @@ def test_stitched_trace_parents_worker_shards(tmp_path):
     spans = [e for e in document["traceEvents"] if e.get("ph") == "X"]
     [campaign] = [e for e in spans if e["name"] == "campaign.run"]
     shards = [e for e in spans if e["name"] == "campaign.shard"]
-    # every shard exactly once: workers' real spans replace the
-    # parent's synthetic lane spans instead of duplicating them
+    # every shard exactly once, recorded by the worker that ran it
     assert len(shards) == spec.shard_count
     assert all(e["args"]["parent_id"] == campaign["args"]["span_id"]
                for e in shards)
@@ -295,12 +296,50 @@ def test_campaign_writes_ledger_record(tmp_path):
     assert record["stats"]["failed_shards"] == 0
 
 
-def test_serial_campaign_keeps_lane_spans(tmp_path):
+def _campaign_span_tree(document):
+    """Sorted ``(span name, parent name, failed)`` of the campaign spans."""
+    spans = [e for e in document["traceEvents"]
+             if e.get("ph") == "X" and e["cat"] == "campaign"]
+    names = {e["args"]["span_id"]: e["name"] for e in spans}
+    return sorted((e["name"], names.get(e["args"].get("parent_id")),
+                   "error" in e["args"]) for e in spans)
+
+
+def test_serial_campaign_nests_shard_spans(tmp_path):
     spec, summary, _, document = _traced_campaign(tmp_path, jobs=1)
+    assert summary.complete
     spans = [e for e in document["traceEvents"] if e.get("ph") == "X"]
+    [campaign] = [e for e in spans if e["name"] == "campaign.run"]
     shards = [e for e in spans if e["name"] == "campaign.shard"]
-    assert len(shards) == spec.shard_count  # synthetic lanes, one pid
-    assert len({e["pid"] for e in shards}) == 1
+    assert len(shards) == spec.shard_count
+    assert all(e["args"]["parent_id"] == campaign["args"]["span_id"]
+               for e in shards)
+    shard_ids = {e["args"]["span_id"] for e in shards}
+    evaluates = [e for e in spans
+                 if e["name"] == "campaign.shard.evaluate"]
+    assert len(evaluates) == spec.shard_count
+    assert all(e["args"]["parent_id"] in shard_ids for e in evaluates)
+    assert {e["pid"] for e in spans} == {campaign["pid"]}
+
+
+@pytest.mark.parametrize("failing", ["", "1"],
+                         ids=["clean", "shard-1-fails"])
+def test_serial_and_pooled_campaigns_trace_one_span_tree(tmp_path,
+                                                         monkeypatch,
+                                                         failing):
+    monkeypatch.setenv(FAIL_SHARDS_ENV, failing)
+    _, serial, _, serial_doc = _traced_campaign(tmp_path, jobs=1)
+    obs.reset()
+    _, pooled, _, pooled_doc = _traced_campaign(tmp_path, jobs=2)
+    assert serial.failed_shards == pooled.failed_shards
+    tree = _campaign_span_tree(serial_doc)
+    assert tree == _campaign_span_tree(pooled_doc)
+    assert ("campaign.shard.evaluate", "campaign.shard", False) in tree
+    assert all(parent == "campaign.shard" for name, parent, _ in tree
+               if name == "campaign.shard.evaluate")
+    # every failed attempt shows as an errored shard span on both sides
+    failed = [entry for entry in tree if entry[2]]
+    assert len(failed) == (3 if failing else 0)  # 1 try + 2 retries
 
 
 def test_per_job_queue_depth_gauge_lifecycle():

@@ -83,16 +83,6 @@ def test_span_attrs_and_error_marking():
     assert recorded.attrs["error"] == "ValueError"
 
 
-def test_add_complete_span_lays_out_past_work():
-    tracer = Tracer()
-    span = tracer.add_complete_span("shard", 0.5, tid=10_001,
-                                    attrs={"shard": 1})
-    assert span.duration == pytest.approx(0.5)
-    assert span.tid == 10_001
-    assert span.start_ns >= 0
-    assert tracer.spans(name="shard") == [span]
-
-
 def test_span_ids_embed_the_pid():
     import os
     tracer = Tracer()
@@ -322,12 +312,16 @@ def test_campaign_emits_spans_and_metrics():
                                        seed=7, shard_size=1000)
     summary = CampaignRunner(spec, jobs=1).run()
     assert summary.complete
-    run_span, = obs.current_tracer().spans(name="campaign.run")
+    tracer = obs.current_tracer()
+    run_span, = tracer.spans(name="campaign.run")
     assert run_span.attrs["trials_completed"] == 2000
-    shard_spans = obs.current_tracer().spans(name="campaign.shard")
+    shard_spans = tracer.children_of(run_span)
+    assert [s.name for s in shard_spans] == ["campaign.shard"] * 2
     assert len(shard_spans) == spec.shard_count == 2
     assert {s.attrs["shard"] for s in shard_spans} == {0, 1}
-    assert all(s.tid >= 10_000 for s in shard_spans)
+    for shard_span in shard_spans:  # each shard's work nests under it
+        assert [s.name for s in tracer.children_of(shard_span)] == [
+            "campaign.shard.evaluate"]
     counter = obs.registry().get("campaign_shards_finished_total")
     assert counter.value(status="ok") == 2
     histogram = obs.registry().get("campaign_shard_seconds")
