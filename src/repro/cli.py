@@ -3,6 +3,7 @@
 Subcommands::
 
     ftspm experiments [NAME ...] [--out DIR]   regenerate tables/figures
+    ftspm report [--out PATH]                  the full reproduction report
     ftspm profile WORKLOAD                     Table I-style profile
     ftspm map WORKLOAD [--mode MODE]           MDA placement (Table II)
     ftspm run WORKLOAD [--structure S]         full simulation + metrics
@@ -15,6 +16,8 @@ Subcommands::
     ftspm diff [A B | --against DIR]           structural mapping diff
     ftspm golden [--update] [--force]          golden corpus check/refresh
     ftspm disasm WORKLOAD                      disassemble a workload
+    ftspm trace WORKLOAD [--out FILE]          record an access trace
+    ftspm trace x --replay FILE                replay one through the cache
     ftspm list                                 available workloads/experiments
 
 ``WORKLOAD`` is ``case`` (the paper's case study), ``kernel:NAME`` (a real
@@ -32,7 +35,7 @@ from .config import (
     DEFAULT_CAMPAIGN_SEED,
     DEFAULT_MAX_RETRIES,
     DEFAULT_SHARD_SIZE,
-    preset,
+    baseline_sram_config,
 )
 from .core.online import build_machine
 from .core.priorities import OptimizationMode, thresholds_for_mode
@@ -520,7 +523,7 @@ def _cmd_trace(args):
 
     if args.replay:
         trace = Trace.load(args.replay)
-        config = preset(args.structure)
+        config = baseline_sram_config()
         memory = MemorySystem(config, energy_models_for(config))
         replayer = TraceReplayer(memory).replay(trace)
         print("replayed {:,} records in {:,} memory cycles".format(
@@ -533,7 +536,7 @@ def _cmd_trace(args):
     if program is None:
         raise ReproError("workload %r cannot be traced (profile-only)"
                          % args.workload)
-    trace = record_trace(program, preset(args.structure))
+    trace = record_trace(program)
     fetches, reads, writes = trace.counts()
     print("captured {:,} records ({:,} fetches, {:,} reads, {:,} writes)"
           .format(len(trace), fetches, reads, writes))
@@ -1068,8 +1071,6 @@ def build_parser():
     p_trace = sub.add_parser(
         "trace", help="record or replay a memory-access trace")
     _add_workload_arguments(p_trace)
-    p_trace.add_argument("--structure", default="baseline-sram",
-                         choices=sorted(STRUCTURES))
     p_trace.add_argument("--out", help="write the captured trace here")
     p_trace.add_argument("--replay", metavar="FILE",
                          help="replay FILE instead of recording "

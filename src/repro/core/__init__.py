@@ -25,7 +25,6 @@ from .baselines import (
     steinke_energy_plan,
 )
 from .online import build_machine, schedule_for_plan
-from .overlay import Overlay, OverlayResult, plan_with_overlays
 
 __all__ = [
     "Assignment",
@@ -47,7 +46,4 @@ __all__ = [
     "steinke_energy_plan",
     "build_machine",
     "schedule_for_plan",
-    "Overlay",
-    "OverlayResult",
-    "plan_with_overlays",
 ]

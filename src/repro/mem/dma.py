@@ -1,14 +1,13 @@
 """DMA engine for the online phase's block transfers.
 
-The paper's second (on-line) phase copies blocks between off-chip memory
-and the SPM at the program points chosen by the mapping tool, via inserted
-transfer instructions.  The engine models each transfer as a DRAM burst
-plus per-word writes into the destination region, charging cycles and
-energy — but it keeps this traffic in its *own* accounting, because the
-paper explicitly excludes the initial copy writes from the per-block
-profiles ("these operations are performed just once before the first
-running of the blocks").  STT-RAM wear, however, is physical and is always
-recorded.
+The paper's second (on-line) phase copies each mapped block from off-chip
+memory into the SPM via inserted transfer instructions, once, before the
+run: "these operations are performed just once before the first running
+of the blocks".  The engine models each copy as a DRAM burst plus
+per-word writes into the destination region, charging cycles and energy
+— but it keeps this traffic in its *own* accounting, because the paper
+excludes the initial copy writes from the per-block profiles.  STT-RAM
+wear, however, is physical and is always recorded.
 """
 
 from __future__ import annotations
@@ -28,9 +27,8 @@ BURST_ENERGY_FRACTION = 0.25
 
 @dataclass(frozen=True)
 class TransferRecord:
-    """One completed DMA transfer, for reports and tests."""
+    """One completed DRAM -> SPM copy, for reports and tests."""
 
-    direction: str  # "map" (DRAM -> SPM) or "writeback" (SPM -> DRAM)
     home_address: int
     spm_address: int
     size: int
@@ -40,7 +38,7 @@ class TransferRecord:
 
 @dataclass
 class DmaEngine:
-    """Block mover between DRAM and the SPMs."""
+    """Block copier from DRAM into the SPMs."""
 
     memory: object  # MemorySystem
     records: list = field(default_factory=list)
@@ -50,9 +48,6 @@ class DmaEngine:
 
     def _device_stats(self, name):
         return self.stats_by_device.setdefault(name, AccessStats())
-
-    def _words(self, size):
-        return (size + _WORD - 1) // _WORD
 
     def map_block(self, home_address, size, spm_address):
         """Copy DRAM -> SPM and install the remap entry."""
@@ -66,7 +61,7 @@ class DmaEngine:
         region.poke_bytes(spm_address, data)
         if isinstance(region, SttRamDevice):
             region.note_bulk_write(spm_address, size)
-        words = self._words(size)
+        words = (size + _WORD - 1) // _WORD
         cycles = memory.dram.burst_cycles(words) + words * region.write_latency
         energy = words * (
             memory.dram.energy_model.read_energy * BURST_ENERGY_FRACTION
@@ -74,42 +69,12 @@ class DmaEngine:
         self._device_stats(region.name).record_write(size, cycles, energy)
         self._device_stats("dram").record_read(size, 0, 0.0)
         memory.install_remap(home_address, size, spm_address)
-        record = TransferRecord("map", home_address, spm_address, size,
+        record = TransferRecord(home_address, spm_address, size,
                                 cycles, energy)
-        self._finish(record)
-        return record
-
-    def unmap_block(self, home_address, write_back=True):
-        """Remove a remap entry, optionally copying the SPM copy home."""
-        memory = self.memory
-        entry = memory.remove_remap(home_address)
-        spm = memory._spm_for(entry.spm_address)
-        region = spm.region_of(entry.spm_address)
-        cycles = 0
-        energy = 0.0
-        if write_back:
-            data = region.peek_bytes(entry.spm_address, entry.size)
-            memory.dram.poke_bytes(entry.home_start, data)
-            words = self._words(entry.size)
-            cycles = (words * region.read_latency
-                      + memory.dram.burst_cycles(words))
-            energy = words * (
-                region.energy_model.read_energy
-                + memory.dram.energy_model.write_energy
-                * BURST_ENERGY_FRACTION)
-            self._device_stats(region.name).record_read(
-                entry.size, cycles, energy)
-            self._device_stats("dram").record_write(entry.size, 0, 0.0)
-        record = TransferRecord("writeback" if write_back else "drop",
-                                entry.home_start, entry.spm_address,
-                                entry.size, cycles, energy)
-        self._finish(record)
-        return record
-
-    def _finish(self, record):
         self.records.append(record)
-        self.total_cycles += record.cycles
-        self.total_energy += record.energy
+        self.total_cycles += cycles
+        self.total_energy += energy
+        return record
 
     def reset(self):
         self.records.clear()

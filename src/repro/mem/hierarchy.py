@@ -2,10 +2,10 @@
 
 The CPU issues accesses with the program's *home* addresses (text, data,
 stack, all resident in off-chip DRAM).  The online phase of the mapping
-algorithm installs **remap entries** — "this home range currently lives at
-this SPM address" — exactly as the paper's inserted transfer instructions
-make the code address the SPM copy.  The router consults the remap table
-first; unmapped references go through the L1 cache to DRAM.
+algorithm installs **remap entries** — "this home range lives at this SPM
+address" — before the run starts, exactly as the paper's inserted transfer
+instructions make the code address the SPM copy.  The router consults the
+remap table first; unmapped references go through the L1 cache to DRAM.
 
 Every routed access is published on the memory system's
 :class:`~repro.events.EventBus` as a typed
@@ -86,9 +86,6 @@ class MemorySystem:
             config.data_spm, DSPM_BASE, energy_models)
         self._remap_starts = []  # sorted home_start keys
         self._remap_entries = []  # parallel RemapEntry list
-        #: bumped on every remap-table change; route caches (the fast
-        #: engine's per-block fetch routes) key their validity on it.
-        self.remap_version = 0
         self.events = EventBus()
 
     # --- remapping (online phase) --------------------------------------------
@@ -110,19 +107,6 @@ class MemorySystem:
             raise ConfigurationError("remap overlaps an existing entry")
         self._remap_starts.insert(index, home_start)
         self._remap_entries.insert(index, entry)
-        self.remap_version += 1
-        return entry
-
-    def remove_remap(self, home_start):
-        """Drop the remap entry anchored at ``home_start``."""
-        index = bisect.bisect_left(self._remap_starts, home_start)
-        if (index == len(self._remap_entries)
-                or self._remap_entries[index].home_start != home_start):
-            raise ConfigurationError(
-                "no remap entry at 0x%08x" % home_start)
-        entry = self._remap_entries.pop(index)
-        self._remap_starts.pop(index)
-        self.remap_version += 1
         return entry
 
     def remap_for(self, address):
@@ -193,8 +177,9 @@ class MemorySystem:
         return result
 
     def constant_fetch_route(self, start, size):
-        """Classify how reads of ``[start, start + size)`` would route
-        *right now* (valid until :attr:`remap_version` changes).
+        """Classify how reads of ``[start, start + size)`` route under
+        the installed remap entries.  A machine installs all of them
+        before its run starts, so the answer holds for the whole run.
 
         Returns ``("spm", device)`` when every read in the range is
         serviced by one constant-latency SPM device (whole range under a

@@ -228,6 +228,12 @@ class EvaluationContext:
         from ..workloads.kernels import kernel_names
         from ..workloads.synthetic import mibench_names
 
+        for name, value in (("array_words", array_words),
+                            ("outer_iterations", outer_iterations),
+                            ("scale", scale)):
+            if value < 1:
+                raise ReproError("%s must be positive, got %d"
+                                 % (name, value))
         if spec == "case":
             program, profile = self.case_study(array_words,
                                                outer_iterations)

@@ -124,7 +124,8 @@ def _validate_choices(kind, params):
     flavor = params.get("profile")
     if flavor is not None and flavor not in ("dynamic", "static"):
         raise HttpError(400, "profile must be 'dynamic' or 'static'")
-    for positive in ("trials", "shard_size", "array_words", "scale"):
+    for positive in ("trials", "shard_size", "array_words",
+                     "outer_iterations", "scale"):
         value = params.get(positive)
         if value is not None and value <= 0:
             raise HttpError(400, "parameter %r must be positive"

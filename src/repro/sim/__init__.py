@@ -3,7 +3,8 @@
 :class:`Cpu` interprets the ARM-like ISA; :class:`Machine` wires a
 :class:`~repro.isa.program.Program`, a
 :class:`~repro.mem.hierarchy.MemorySystem`, a DMA engine, and an optional
-transfer schedule (the online mapping phase) into a runnable platform;
+transfer schedule (the online mapping phase's placement, copied into the
+SPMs before the first instruction) into a runnable platform;
 :class:`FastEngine` is the predecoded basic-block engine that every
 :meth:`Machine.run` executes on.
 """

@@ -14,8 +14,9 @@ per-cycle overhead:
   in; the closure returns the execute-stage cycle cost exactly as
   :meth:`Cpu.execute` would),
 * each block retires through one of three loops, chosen by its fetch
-  route (:meth:`MemorySystem.constant_fetch_route`) and by who listens
-  on the event bus:
+  route (:meth:`MemorySystem.constant_fetch_route`, computed once when
+  the block is built: every mapping is installed before the run starts,
+  so the route cannot change) and by who listens on the event bus:
 
   - the **SPM batch**, when the whole block's fetch range is serviced
     by one constant-latency SPM region and the bus is silent: counts,
@@ -34,10 +35,10 @@ per-cycle overhead:
     that needs the router's per-access adjudication, or a recorder on
     an SPM route: every fetch travels the full router and publishes
     with an exact ``at_cycle`` stamp, through the same closures,
-* the engine **falls back to the reference step loop** whenever exact
-  per-cycle interleaving matters: around instruction-count (timed) DMA
-  triggers — the overlay planner's phase boundaries — and when the
-  instruction limit could be crossed inside a block.
+* the engine **falls back to the reference step loop** one instruction
+  at a time when the instruction limit could be crossed inside a block,
+  and at any address it cannot decode (the reference diagnostics are
+  raised there).
 
 Equivalence contract: for any program, config, and schedule, running
 under this engine produces byte-identical architectural state, cycle
@@ -96,13 +97,14 @@ class _Block:
 
     ``sp_moves`` is true when an instruction before the last may change
     the stack pointer, so the recorder's lowest-SP-at-a-fetch column
-    has to look at every fetch, not only the first.
+    has to look at every fetch, not only the first.  ``route`` is the
+    fetch route of exactly ``[start, end)``.
     """
 
     __slots__ = ("start", "end", "n", "pcs", "ops", "mnemonics", "counts",
-                 "sp_moves", "route", "route_version")
+                 "sp_moves", "route")
 
-    def __init__(self, start, pcs, ops, mnemonics, sp_moves):
+    def __init__(self, start, pcs, ops, mnemonics, sp_moves, route):
         self.start = start
         self.end = pcs[-1] + INSTRUCTION_BYTES
         self.n = len(ops)
@@ -114,8 +116,7 @@ class _Block:
             counts[mnemonic] = counts.get(mnemonic, 0) + 1
         self.counts = counts
         self.sp_moves = sp_moves
-        self.route = None
-        self.route_version = -1
+        self.route = route
 
 
 # --- condition tests ----------------------------------------------------------
@@ -139,10 +140,11 @@ _CONDITION_TESTS = {
 class FastEngine:
     """Basic-block execution engine bolted onto one :class:`Machine`.
 
-    Blocks and compiled closures are cached per engine (the program is
-    fixed at machine construction), so hot loops pay the compile cost
-    once.  :meth:`Machine.run` builds one engine per run and does not
-    keep it, so a finished machine is freed by reference counting.
+    Blocks, their fetch routes and compiled closures are cached per
+    engine (the program is fixed at machine construction, the placement
+    before the run), so hot loops pay the compile cost once.
+    :meth:`Machine.run` builds one engine per run and does not keep it,
+    so a finished machine is freed by reference counting.
     """
 
     def __init__(self, machine):
@@ -165,13 +167,12 @@ class FastEngine:
 
     def run(self, max_instructions):
         """Run to halt, mirroring the reference loop's check order:
-        instruction limit, exit address, timed triggers — then a whole
-        block (or one reference step)."""
+        instruction limit, exit address — then a whole block (or one
+        reference step)."""
         machine = self.machine
         cpu = self.cpu
         stats = self.stats
         regs = self.regs
-        memory = self.memory
         blocks = self._blocks
         subscribers = self.events._subscribers
         recorder = self.events.recorder
@@ -184,8 +185,6 @@ class FastEngine:
             if pc == EXIT_ADDRESS:
                 cpu.halted = True
                 break
-            if machine._timed:
-                machine._check_timed_triggers()
             block = blocks.get(pc)
             if block is None:
                 block = self._build_block(pc)
@@ -193,21 +192,14 @@ class FastEngine:
             if block is _STEP:
                 machine.step()
                 continue
-            n = block.n
-            if (stats.instructions + n > max_instructions
-                    or self._timed_due_within(n)):
-                # Exact per-cycle interleaving matters somewhere inside
-                # this block: hand one instruction to the reference loop
-                # and re-evaluate.
+            if stats.instructions + block.n > max_instructions:
+                # The limit falls inside this block: hand one
+                # instruction to the reference loop and re-evaluate.
                 machine.step()
                 continue
             if subscribers:
                 self._run_granular(block)
                 continue
-            if block.route_version != memory.remap_version:
-                block.route = memory.constant_fetch_route(
-                    block.start, block.end - block.start)
-                block.route_version = memory.remap_version
             kind = block.route[0]
             if kind == "cache":
                 self._run_cached(block, recorder)
@@ -217,14 +209,6 @@ class FastEngine:
                 # mixed routes need per-access adjudication, and the
                 # recorder takes SPM fetches one at a time from the bus
                 self._run_granular(block)
-
-    def _timed_due_within(self, n):
-        machine = self.machine
-        index = machine._timed_index
-        timed = machine._timed
-        return (index < len(timed)
-                and timed[index].trigger_instruction
-                <= self.stats.instructions + n - 1)
 
     # --- block construction ---------------------------------------------------
 
@@ -254,7 +238,11 @@ class FastEngine:
             instruction = program.instruction_at(address)
             if instruction is None:
                 break
-        return _Block(pc, tuple(pcs), ops, tuple(mnemonics), sp_moves)
+        # route exactly the block's own fetches: the loop's ``address``
+        # may already be one instruction past them
+        route = self.memory.constant_fetch_route(
+            pc, pcs[-1] + INSTRUCTION_BYTES - pc)
+        return _Block(pc, tuple(pcs), ops, tuple(mnemonics), sp_moves, route)
 
     # --- block execution ------------------------------------------------------
 

@@ -6,15 +6,13 @@ The machine is the FaCSim substitute's top level.  It
 * executes instructions, charging fetch and data latencies through the
   routed :class:`~repro.mem.hierarchy.MemorySystem`,
 * applies a :class:`TransferSchedule` — the output of the online mapping
-  phase — performing DMA block transfers before execution starts (static
-  maps) or once the dynamic instruction count reaches a scheduled value
-  (the overlay planner's phase boundaries).
+  phase — performing its DMA block transfers before the first
+  instruction, so the placement is fixed for the whole run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .. import obs
 from ..errors import ExecutionLimitExceeded, IllegalInstructionError
@@ -36,43 +34,24 @@ _reference_loop = False
 
 @dataclass(frozen=True)
 class TransferAction:
-    """One scheduled DMA action.
+    """One DMA map: copy ``size`` bytes at ``home_address`` into the SPM
+    at ``spm_address`` before execution starts, and route the home range
+    there for the whole run."""
 
-    ``kind`` is ``"map"`` or ``"unmap"``.  With no
-    ``trigger_instruction`` the action fires before execution starts (a
-    static map, the online phase's placement); otherwise it fires once
-    the dynamic instruction count reaches that value (the overlay
-    planner's phase boundaries, the only mid-run transfers).
-    """
-
-    kind: str
     home_address: int
-    size: int = 0
-    spm_address: int = 0
-    trigger_instruction: Optional[int] = None
-    write_back: bool = True
+    size: int
+    spm_address: int
 
 
 @dataclass
 class TransferSchedule:
-    """The online phase's plan: a list of :class:`TransferAction`."""
+    """The online phase's plan: a list of :class:`TransferAction`, all
+    performed before the first instruction."""
 
     actions: list = field(default_factory=list)
 
-    def static_actions(self):
-        return [action for action in self.actions
-                if action.trigger_instruction is None]
-
-    def timed_actions(self):
-        """Instruction-count-triggered actions, in firing order."""
-        return sorted(
-            (action for action in self.actions
-             if action.trigger_instruction is not None),
-            key=lambda action: action.trigger_instruction)
-
     def add_static_map(self, home_address, size, spm_address):
-        self.actions.append(TransferAction(
-            "map", home_address, size, spm_address))
+        self.actions.append(TransferAction(home_address, size, spm_address))
         return self
 
 
@@ -109,11 +88,13 @@ class RunResult:
 class Machine:
     """A complete simulated platform executing one program.
 
-    :meth:`run` executes on the predecoded basic-block engine
-    (:class:`~repro.sim.fastpath.FastEngine`), which falls back to the
-    per-cycle :meth:`step` loop wherever exact per-cycle interleaving
-    matters.  The whole-run reference loop is the differential
-    harness's oracle (:func:`repro.sim.diffcheck.reference_engine`).
+    :meth:`run` performs the transfer schedule, then executes on the
+    predecoded basic-block engine
+    (:class:`~repro.sim.fastpath.FastEngine`), which hands single
+    instructions to the per-cycle :meth:`step` loop at undecodable
+    addresses and where the instruction limit falls inside a block.
+    The whole-run reference loop is the differential harness's oracle
+    (:func:`repro.sim.diffcheck.reference_engine`).
     """
 
     def __init__(self, program, config, energy_models=None, schedule=None):
@@ -129,8 +110,6 @@ class Machine:
         self.cpu = Cpu(_data_access_of(self.memory), events=self.events)
         stats = self.cpu.stats
         self.events.clock = lambda: stats.cycles
-        self._timed = self.schedule.timed_actions()
-        self._timed_index = 0
         self._load_program()
         self._reset_cpu()
 
@@ -150,22 +129,13 @@ class Machine:
         self.cpu.state.registers[LR] = EXIT_ADDRESS
 
     def apply_static_schedule(self):
-        """Perform the schedule's static mappings (charged to the run)."""
-        for action in self.schedule.static_actions():
-            self._perform(action)
-
-    def _perform(self, action):
-        if action.kind == "map":
+        """Perform the schedule's mappings (their cycles are charged to
+        the run).  :meth:`run` calls this before the first instruction;
+        nothing maps a block after it."""
+        for action in self.schedule.actions:
             record = self.dma.map_block(
                 action.home_address, action.size, action.spm_address)
-        elif action.kind == "unmap":
-            record = self.dma.unmap_block(
-                action.home_address, write_back=action.write_back)
-        else:
-            raise IllegalInstructionError(
-                "unknown transfer action kind %r" % action.kind)
-        self.cpu.stats.cycles += record.cycles
-        return record
+            self.cpu.stats.cycles += record.cycles
 
     # --- memory plumbing ----------------------------------------------------------
 
@@ -183,7 +153,6 @@ class Machine:
         if pc == EXIT_ADDRESS:
             cpu.halted = True
             return False
-        self._check_timed_triggers()
         instruction = self.program.instruction_at(pc)
         if instruction is None:
             raise IllegalInstructionError(
@@ -194,18 +163,11 @@ class Machine:
         cpu.stats.cycles += fetch_cycles + exec_cycles
         return not cpu.halted
 
-    def _check_timed_triggers(self):
-        executed = self.cpu.stats.instructions
-        while (self._timed_index < len(self._timed)
-               and self._timed[self._timed_index].trigger_instruction
-               <= executed):
-            action = self._timed[self._timed_index]
-            self._timed_index += 1
-            self._perform(action)
-
     def _fast_engine(self):
         """A fast engine for this machine, built per call.
 
+        Run it only after :meth:`apply_static_schedule`: the engine
+        fixes each block's fetch route when it first decodes the block.
         Not cached on the machine: the engine points back at it, and
         that cycle would keep a finished machine (and its DRAM image)
         alive until the cycle collector happens to run.

@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
+from ..config import baseline_sram_config
 from ..errors import TraceError
 from ..events import AccessEvent, EventSubscriber
 from ..mem.hierarchy import AccessType
@@ -169,10 +170,12 @@ class TraceRecorder(EventSubscriber):
             self.trace.append(TraceRecord("R", event.address, event.size))
 
 
-def record_trace(program, config):
-    """Run a program once and return its access trace."""
+def record_trace(program):
+    """Run a program once on the profiling platform (the pure-SRAM
+    baseline, every access through the cache) and return its access
+    trace."""
     from ..sim.machine import Machine
-    machine = Machine(program, config)
+    machine = Machine(program, baseline_sram_config())
     recorder = TraceRecorder(machine).attach()
     machine.run()
     return recorder.detach()

@@ -105,7 +105,7 @@ def test_hybrid_is_reliability_blind_vs_mda(profile):
 def test_schedule_for_plan_creates_static_maps(case_profile, case_plan):
     schedule = schedule_for_plan(case_plan.plan, case_profile)
     mapped = {a.block_name for a in case_plan.plan.mapped_blocks()}
-    assert len(schedule.static_actions()) == len(mapped)
+    assert len(schedule.actions) == len(mapped)
 
 
 def test_build_machine_runs_case_study(case_program, case_profile,

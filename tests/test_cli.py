@@ -102,8 +102,7 @@ def test_trace_record_and_replay(capsys, tmp_path):
     assert "captured" in out
     assert path.exists()
     code, out, _ = run_cli(capsys, "trace", "ignored",
-                           "--replay", str(path),
-                           "--structure", "ftspm")
+                           "--replay", str(path))
     assert code == 0
     assert "replayed" in out
 
@@ -118,6 +117,19 @@ def test_unknown_workload_is_reported(capsys):
     code, _, err = run_cli(capsys, "profile", "doom")
     assert code == 1
     assert "unknown workload" in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("run", "kernel:crc32", "--scale", "-1"), "scale"),
+    (("run", "kernel:crc32", "--scale", "0"), "scale"),
+    (("profile", "case", "--outer-iterations", "-1"), "outer_iterations"),
+    (("map", "case", "--array-words", "0"), "array_words"),
+])
+def test_non_positive_workload_size_is_reported(capsys, argv, name):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert not out
+    assert err.startswith("error: %s must be positive" % name)
 
 
 def test_parser_rejects_unknown_structure():

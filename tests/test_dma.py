@@ -71,21 +71,6 @@ def test_dma_traffic_not_in_architectural_stats(memory, dma):
     assert dma.stats_by_device["dspm-parity"].writes == 1
 
 
-def test_unmap_returns_record(memory, dma):
-    dma.map_block(0x8000, 64, DSPM_BASE)
-    record = dma.unmap_block(0x8000)
-    assert record.direction == "writeback"
-    assert record.cycles > 0
-    assert memory.remap_for(0x8000) is None
-
-
-def test_unmap_drop_costs_nothing(memory, dma):
-    dma.map_block(0x8000, 64, DSPM_BASE)
-    record = dma.unmap_block(0x8000, write_back=False)
-    assert record.direction == "drop"
-    assert record.cycles == 0
-
-
 def test_destination_must_fit_one_region(memory, dma):
     from repro.errors import MemoryAccessError
     with pytest.raises(MemoryAccessError):

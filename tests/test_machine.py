@@ -70,26 +70,6 @@ def test_static_schedule_maps_block_before_start():
     assert parity.stats.reads == 8
 
 
-def test_unmap_writes_back_dirty_data():
-    program = assemble(_SOURCE)
-    machine = Machine(program, ftspm_config())
-    home = program.symbol("table")
-    machine.dma.map_block(home, 32, DSPM_BASE)
-    machine.memory.poke_bytes(home, (99).to_bytes(4, "little"))  # via SPM
-    machine.dma.unmap_block(home, write_back=True)
-    assert machine.memory.dram.peek_word(home) == 99
-
-
-def test_unmap_without_writeback_drops_changes():
-    program = assemble(_SOURCE)
-    machine = Machine(program, ftspm_config())
-    home = program.symbol("table")
-    machine.dma.map_block(home, 32, DSPM_BASE)
-    machine.memory.poke_bytes(home, (99).to_bytes(4, "little"))
-    machine.dma.unmap_block(home, write_back=False)
-    assert machine.memory.dram.peek_word(home) == 1
-
-
 def test_dma_transfer_cycles_charged_to_run():
     program = assemble(_SOURCE)
     schedule = TransferSchedule().add_static_map(

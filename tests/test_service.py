@@ -209,6 +209,9 @@ def test_http_error_paths(harness):
         client.submit("campaign", workload="case", trials=-5)
     assert err.value.status == 400
     with pytest.raises(ServiceError) as err:
+        client.submit("mapping", workload="case", outer_iterations=0)
+    assert err.value.status == 400
+    with pytest.raises(ServiceError) as err:
         client.submit("mapping", workload="case", nonsense=1)
     assert err.value.status == 400
     with pytest.raises(ServiceError) as err:

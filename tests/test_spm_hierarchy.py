@@ -112,18 +112,6 @@ def test_access_straddling_remap_start_rejected(memory):
     assert memory.access(0x3FFC, 4, False).device_name == "l1-cache"
 
 
-def test_remove_remap_restores_routing(memory):
-    memory.install_remap(0x4000, 64, DSPM_BASE)
-    memory.remove_remap(0x4000)
-    result = memory.access(0x4000, 4, False)
-    assert result.device_name == "l1-cache"
-
-
-def test_remove_unknown_remap_raises(memory):
-    with pytest.raises(ConfigurationError):
-        memory.remove_remap(0x4000)
-
-
 def test_overlapping_remaps_rejected(memory):
     memory.install_remap(0x4000, 64, DSPM_BASE)
     with pytest.raises(ConfigurationError):

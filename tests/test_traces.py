@@ -35,7 +35,7 @@ buffer: .word 1, 2, 3, 4, 5, 6, 7, 8
 @pytest.fixture(scope="module")
 def trace():
     program = assemble(_SOURCE)
-    return record_trace(program, baseline_sram_config())
+    return record_trace(program)
 
 
 def test_trace_captures_all_accesses(trace):
