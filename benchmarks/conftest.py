@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import os
 
-import pytest
-
 from repro.eval import run_experiment
 
 REPORT_DIR = os.path.join(os.path.dirname(__file__), "reports")

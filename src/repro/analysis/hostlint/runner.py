@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, field
 
 from ...diagnostics import (
-    EXIT_CLEAN,
     EXIT_VIOLATION,
     Severity,
     exit_code_for,
@@ -24,7 +23,7 @@ from ...diagnostics import (
 from .baseline import Baseline
 from .callgraph import PackageIndex
 from .modules import discover_package
-from .rules import DEVLINT_RULES, run_rules
+from .rules import run_rules
 from .taint import TaintAnalysis
 
 SCHEMA = 1

@@ -34,9 +34,7 @@ one place wall-clock reads are the point.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-
-from .callgraph import walk_scope
+from dataclasses import dataclass
 
 #: taint domains
 WALLCLOCK = "wallclock"

@@ -48,9 +48,7 @@ from .instructions import (
     Instruction,
     Mnemonic,
     OPERAND_COUNTS,
-    Operand,
     imm,
-    label_ref,
     reg,
     reg_list,
 )

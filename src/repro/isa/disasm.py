@@ -5,7 +5,7 @@ Used by the CLI's trace dumps and by tests that round-trip the assembler.
 
 from __future__ import annotations
 
-from .instructions import Condition, Instruction, Mnemonic, OperandKind
+from .instructions import Condition, Mnemonic, OperandKind
 from .registers import register_name
 
 _MEMORY_FORMS = (Mnemonic.LDR, Mnemonic.STR, Mnemonic.LDRB, Mnemonic.STRB)

@@ -51,7 +51,13 @@ class _Line:
 
 
 class Cache:
-    """LRU set-associative cache in front of a :class:`DramDevice`."""
+    """LRU set-associative cache in front of a :class:`DramDevice`.
+
+    :meth:`access` serves the router's references; :meth:`fetch` is the
+    fast engine's value-free instruction fetch.  Both go through one
+    lookup and fill, so they leave the same tags, LRU stamps, hit and
+    miss counts and DRAM traffic.
+    """
 
     def __init__(self, name, backing, size, line_size=32, associativity=4,
                  latency=1, energy_model=None):
@@ -75,13 +81,27 @@ class Cache:
         self._tick = 0
         self.stats = CacheStats()
 
-    # --- geometry -------------------------------------------------------------
-
-    def _locate(self, address):
-        line_address = address // self.line_size
-        return line_address % self.num_sets, line_address // self.num_sets
-
     # --- access ---------------------------------------------------------------
+
+    def _line(self, address):
+        """Look up the line holding ``address``, filling it on a miss,
+        and stamp it most recently used.  Returns ``(line, cycles)``; the
+        cycles include any line fill or write-back the lookup caused."""
+        self._tick += 1
+        line_address = address // self.line_size
+        lines = self._sets[line_address % self.num_sets]
+        tag = line_address // self.num_sets
+        cycles = self.latency
+        for line in lines:
+            if line.valid and line.tag == tag:
+                self.stats.hits += 1
+                break
+        else:
+            self.stats.misses += 1
+            line, penalty = self._fill(lines, tag)
+            cycles += penalty
+        line.lru = self._tick
+        return line, cycles
 
     def access(self, address, size, is_write, value=None):
         """One architectural access through the cache.
@@ -89,18 +109,7 @@ class Cache:
         Returns an :class:`AccessResult` whose cycles include any line fill
         or write-back that the access triggered.
         """
-        self._tick += 1
-        set_index, tag = self._locate(address)
-        lines = self._sets[set_index]
-        cycles = self.latency
-        line = self._find(lines, tag)
-        if line is None:
-            self.stats.misses += 1
-            line, penalty = self._fill(lines, tag)
-            cycles += penalty
-        else:
-            self.stats.hits += 1
-        line.lru = self._tick
+        line, cycles = self._line(address)
         if is_write:
             line.dirty = True
             self.backing.poke_bytes(
@@ -117,11 +126,15 @@ class Cache:
         return AccessResult(value=read_value, cycles=cycles,
                             device_name=self.name, energy=energy)
 
-    def _find(self, lines, tag):
-        for line in lines:
-            if line.valid and line.tag == tag:
-                return line
-        return None
+    def fetch(self, address, size):
+        """A read :meth:`access` that returns only its cycles: no bytes
+        are read back and no :class:`AccessResult` is built.  The caller
+        takes the decoded instruction from its program and guarantees
+        that the range lies in the backing DRAM."""
+        cycles = self._line(address)[1]
+        self.stats.accesses_stats.record_read(
+            size, cycles, self.energy_model.read_energy)
+        return cycles
 
     def _fill(self, lines, tag):
         """Allocate a line for ``tag``; return (line, extra cycles)."""

@@ -4,8 +4,13 @@ The CPU issues accesses with the program's *home* addresses (text, data,
 stack, all resident in off-chip DRAM).  The online phase of the mapping
 algorithm installs **remap entries** — "this home range lives at this SPM
 address" — before the run starts, exactly as the paper's inserted transfer
-instructions make the code address the SPM copy.  The router consults the
-remap table first; unmapped references go through the L1 cache to DRAM.
+instructions make the code address the SPM copy.  Remap entries take
+precedence over the SPM windows, and those over DRAM, whose references go
+through the L1 cache.  The router resolves all three into one sorted
+table of disjoint windows over home addresses, each with its leaf device
+and its home-to-leaf offset, built on first use after the last remap is
+installed; one ``bisect`` then routes an access, and an access that no
+single window holds is rejected.
 
 Every routed access is published on the memory system's
 :class:`~repro.events.EventBus` as a typed
@@ -86,6 +91,7 @@ class MemorySystem:
             config.data_spm, DSPM_BASE, energy_models)
         self._remap_starts = []  # sorted home_start keys
         self._remap_entries = []  # parallel RemapEntry list
+        self._table = None  # (window starts, windows); None until used
         self.events = EventBus()
 
     # --- remapping (online phase) --------------------------------------------
@@ -107,6 +113,7 @@ class MemorySystem:
             raise ConfigurationError("remap overlaps an existing entry")
         self._remap_starts.insert(index, home_start)
         self._remap_entries.insert(index, entry)
+        self._table = None
         return entry
 
     def remap_for(self, address):
@@ -128,6 +135,45 @@ class MemorySystem:
 
     # --- routed accesses -------------------------------------------------------
 
+    def _build_table(self):
+        """The routing table ``(starts, windows)``: disjoint ``(start,
+        end, leaf, offset)`` windows over home addresses, sorted by their
+        (unique) starts.  Each remap entry is split at the region
+        boundaries of its target (offset ``spm_address - home_start``);
+        the SPM regions fill the gaps between entries, and DRAM (leaf:
+        the L1 cache) what is left (offset 0)."""
+        windows = []
+        for entry in self._remap_entries:
+            offset = entry.spm_address - entry.home_start
+            for region in self._spm_for(entry.spm_address).devices:
+                start = max(entry.home_start, region.base - offset)
+                end = min(entry.home_end, region.end - offset)
+                if start < end:
+                    windows.append((start, end, region, offset))
+        fills = [(region.base, region.end, region)
+                 for region in self.spm_devices()]
+        fills.append((self.dram.base, self.dram.end, self.cache))
+        for low, high, leaf in fills:
+            cursor = low
+            for start, end, _, _ in sorted(windows):
+                if cursor < min(start, high):
+                    windows.append((cursor, min(start, high), leaf, 0))
+                cursor = max(cursor, end)
+            if cursor < high:
+                windows.append((cursor, high, leaf, 0))
+        windows.sort()
+        self._table = ([window[0] for window in windows], windows)
+        return self._table
+
+    def _window(self, address, size):
+        """The window holding all of ``[address, address + size)``, or
+        None."""
+        starts, windows = self._table or self._build_table()
+        index = bisect.bisect_right(starts, address) - 1
+        if index >= 0 and address + size <= windows[index][1]:
+            return windows[index]
+        return None
+
     def access(self, address, size, is_write, value=0,
                access_type=AccessType.DATA):
         """Route one architectural access and return its AccessResult.
@@ -135,37 +181,16 @@ class MemorySystem:
         ``address`` is always the home (program) address; remapping to the
         SPM is internal, mirroring the paper's rewritten load/stores.
         """
-        entry = self.remap_for(address)
-        if entry is not None:
-            if address + size > entry.home_end:
-                # Falling through would silently read the stale DRAM copy
-                # of the mapped bytes; no sane placement produces this.
-                raise MemoryAccessError(
-                    "access straddles a mapped block boundary",
-                    address=address)
-            spm_address = entry.translate(address)
-            spm = self._spm_for(spm_address)
-            if is_write:
-                result = spm.write(spm_address, size, value)
-            else:
-                result = spm.read(spm_address, size)
-        elif self._straddles_next_remap(address, size):
-            # The symmetric partial overlap: starting just below a live
-            # mapping and ending inside it.  Routing it to DRAM would
-            # silently touch the stale copy of the mapped tail bytes.
-            raise MemoryAccessError(
-                "access straddles into a mapped block",
-                address=address)
-        elif self.instruction_spm.contains(address, size):
-            result = (self.instruction_spm.write(address, size, value)
-                      if is_write else self.instruction_spm.read(address, size))
-        elif self.data_spm.contains(address, size):
-            result = (self.data_spm.write(address, size, value)
-                      if is_write else self.data_spm.read(address, size))
-        elif self.dram.contains(address, size):
-            result = self.cache.access(address, size, is_write, value)
+        window = self._window(address, size)
+        if window is None:
+            self._reject(address, size)
+        _, _, leaf, offset = window
+        if leaf is self.cache:
+            result = leaf.access(address, size, is_write, value)
+        elif is_write:
+            result = leaf.write(address + offset, size, value)
         else:
-            raise MemoryAccessError("unmapped address", address=address)
+            result = leaf.read(address + offset, size)
         if is_write:
             kind = EventKind.WRITE
         elif access_type is AccessType.FETCH:
@@ -176,44 +201,47 @@ class MemorySystem:
                                    result.cycles, result.energy)
         return result
 
+    def _reject(self, address, size):
+        """Raise the error for an access that no one window holds."""
+        entry = self.remap_for(address)
+        if entry is not None and address + size > entry.home_end:
+            # Falling through would silently read the stale DRAM copy
+            # of the mapped bytes; no sane placement produces this.
+            message = "access straddles a mapped block boundary"
+        elif entry is not None:
+            message = "access straddles SPM regions"
+            address = entry.translate(address)
+        elif self._straddles_next_remap(address, size):
+            # The symmetric partial overlap: starting just below a live
+            # mapping and ending inside it.
+            message = "access straddles into a mapped block"
+        elif (self.instruction_spm.contains(address, size)
+              or self.data_spm.contains(address, size)):
+            message = "access straddles SPM regions"
+        else:
+            message = "unmapped address"
+        raise MemoryAccessError(message, address=address)
+
     def constant_fetch_route(self, start, size):
         """Classify how reads of ``[start, start + size)`` route under
         the installed remap entries.  A machine installs all of them
         before its run starts, so the answer holds for the whole run.
 
-        Returns ``("spm", device)`` when every read in the range is
-        serviced by one constant-latency SPM device (whole range under a
-        single remap entry, or directly inside one SPM region),
-        ``("cache",)`` when the whole range misses the remap table and
-        the SPMs and goes through the L1 cache, and ``("mixed",)`` for
-        anything else — ranges straddling a mapping edge, a region
+        Reads :meth:`access`'s routing table: ``("spm", device)`` when
+        the whole range lies in one window of a constant-latency SPM
+        region (under one remap entry, or directly inside the region),
+        ``("cache",)`` when it lies in one DRAM window, and ``("mixed",)``
+        for anything else — ranges straddling a mapping edge, a region
         boundary, or unmapped space, which the caller must route
         per-access through :meth:`access` to reproduce its exact
         adjudication (including its errors).
         """
-        entry = self.remap_for(start)
-        if entry is not None:
-            if start + size > entry.home_end:
-                return ("mixed",)
-            spm_start = entry.translate(start)
-            spm = self._spm_for(spm_start)
-            device = spm.region_of(spm_start)
-            if device.contains(spm_start, size):
-                return ("spm", device)
+        window = self._window(start, size)
+        if window is None:
             return ("mixed",)
-        if self._straddles_next_remap(start, size):
-            return ("mixed",)
-        for spm in (self.instruction_spm, self.data_spm):
-            if spm.contains(start, size):
-                device = spm.region_of(start)
-                if device.contains(start, size):
-                    return ("spm", device)
-                return ("mixed",)
-            if spm.contains(start) or spm.contains(start + size - 1):
-                return ("mixed",)
-        if self.dram.contains(start, size):
+        if window[2] is self.cache:
             return ("cache",)
-        return ("mixed",)
+        return ("spm", window[2])
 
     def _straddles_next_remap(self, address, size):
         """True if ``[address, address+size)`` runs into a live mapping

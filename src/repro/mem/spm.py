@@ -2,9 +2,9 @@
 
 A :class:`Scratchpad` lays its regions out contiguously from a base
 address in the order they appear in the :class:`~repro.config.SpmConfig`
-(parity, then SEC-DED, then STT-RAM for FTSPM's data SPM) and routes each
-access to the owning region's device, which carries its own latency and
-energy model.
+(parity, then SEC-DED, then STT-RAM for FTSPM's data SPM).  The memory
+system's router sends each access straight to the owning region's device,
+which carries its own latency and energy model.
 """
 
 from __future__ import annotations
@@ -52,20 +52,6 @@ class Scratchpad:
                 return device
         raise ConfigurationError(
             "SPM %r has no region named %r" % (self.name, name))
-
-    def read(self, address, size):
-        device = self.region_of(address)
-        if not device.contains(address, size):
-            raise MemoryAccessError(
-                "access straddles SPM regions", address=address)
-        return device.read(address, size)
-
-    def write(self, address, size, value):
-        device = self.region_of(address)
-        if not device.contains(address, size):
-            raise MemoryAccessError(
-                "access straddles SPM regions", address=address)
-        return device.write(address, size, value)
 
     def aggregate_stats(self):
         """Sum of all region stats."""

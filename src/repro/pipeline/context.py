@@ -38,6 +38,13 @@ from .store import ArtifactStore
 _MISS = object()
 
 
+def _check_workload_sizes(**sizes):
+    """Reject any workload size below 1, naming it."""
+    for name, value in sizes.items():
+        if value < 1:
+            raise ReproError("%s must be positive, got %d" % (name, value))
+
+
 @dataclass
 class PipelineCounters:
     """Observable cost of a context: what was computed vs replayed.
@@ -156,6 +163,8 @@ class EvaluationContext:
         """
         from ..workloads.case_study import case_study_program
 
+        _check_workload_sizes(array_words=array_words,
+                              outer_iterations=outer_iterations)
         program = self._memo_plain(
             ("case-program", array_words, outer_iterations),
             lambda: case_study_program(array_words, outer_iterations))
@@ -228,12 +237,9 @@ class EvaluationContext:
         from ..workloads.kernels import kernel_names
         from ..workloads.synthetic import mibench_names
 
-        for name, value in (("array_words", array_words),
-                            ("outer_iterations", outer_iterations),
-                            ("scale", scale)):
-            if value < 1:
-                raise ReproError("%s must be positive, got %d"
-                                 % (name, value))
+        _check_workload_sizes(array_words=array_words,
+                              outer_iterations=outer_iterations,
+                              scale=scale)
         if spec == "case":
             program, profile = self.case_study(array_words,
                                                outer_iterations)

@@ -25,11 +25,13 @@ per-cycle overhead:
     bit-for-bit,
   - the **cache loop**, when the whole range goes through the L1 cache
     and no subscriber listens: the cache is stateful, so fetches call
-    :meth:`Cache.access` one at a time with no publishes, and the
-    cycle counter advances per instruction; a **column recorder** in
-    the bus's recorder slot (what :func:`repro.profile.profile_program`
-    installs) gets one row per block, while the data rows it takes
-    from the bus carry exact ``at_cycle`` stamps,
+    the value-free :meth:`Cache.fetch` one at a time with no publishes
+    (the instruction comes from the predecoded block, so only the
+    cycles are needed), and the cycle counter advances per
+    instruction; a **column recorder** in the bus's recorder slot
+    (what :func:`repro.profile.profile_program` installs) gets one row
+    per block, while the data rows it takes from the bus carry exact
+    ``at_cycle`` stamps,
   - the **granular loop** otherwise — a subscriber (trace recorder,
     sim hot-spot profiler, the live profiler oracle), a mixed route
     that needs the router's per-access adjudication, or a recorder on
@@ -38,7 +40,12 @@ per-cycle overhead:
 * the engine **falls back to the reference step loop** one instruction
   at a time when the instruction limit could be crossed inside a block,
   and at any address it cannot decode (the reference diagnostics are
-  raised there).
+  raised there),
+* a block retired whole bumps its own ``retired`` counter, and
+  :meth:`FastEngine.run` folds ``retired`` times the block's mnemonic
+  counts into ``stats.mnemonic_counts`` when it returns or raises
+  (nothing reads them during a run); single steps and a partial block
+  on an error path count into them directly.
 
 Equivalence contract: for any program, config, and schedule, running
 under this engine produces byte-identical architectural state, cycle
@@ -98,11 +105,12 @@ class _Block:
     ``sp_moves`` is true when an instruction before the last may change
     the stack pointer, so the recorder's lowest-SP-at-a-fetch column
     has to look at every fetch, not only the first.  ``route`` is the
-    fetch route of exactly ``[start, end)``.
+    fetch route of exactly ``[start, end)``.  ``retired`` counts the
+    block's whole retirements not yet folded into the mnemonic counts.
     """
 
     __slots__ = ("start", "end", "n", "pcs", "ops", "mnemonics", "counts",
-                 "sp_moves", "route")
+                 "sp_moves", "route", "retired")
 
     def __init__(self, start, pcs, ops, mnemonics, sp_moves, route):
         self.start = start
@@ -117,6 +125,7 @@ class _Block:
         self.counts = counts
         self.sp_moves = sp_moves
         self.route = route
+        self.retired = 0
 
 
 # --- condition tests ----------------------------------------------------------
@@ -168,7 +177,8 @@ class FastEngine:
     def run(self, max_instructions):
         """Run to halt, mirroring the reference loop's check order:
         instruction limit, exit address — then a whole block (or one
-        reference step)."""
+        reference step).  The mnemonic counts of whole-block
+        retirements are folded in when the run returns or raises."""
         machine = self.machine
         cpu = self.cpu
         stats = self.stats
@@ -176,39 +186,49 @@ class FastEngine:
         blocks = self._blocks
         subscribers = self.events._subscribers
         recorder = self.events.recorder
-        while not cpu.halted:
-            if stats.instructions >= max_instructions:
-                raise ExecutionLimitExceeded(
-                    "exceeded %d instructions at pc=0x%08x"
-                    % (max_instructions, cpu.state.pc))
-            pc = regs[PC]
-            if pc == EXIT_ADDRESS:
-                cpu.halted = True
-                break
-            block = blocks.get(pc)
-            if block is None:
-                block = self._build_block(pc)
-                blocks[pc] = block
-            if block is _STEP:
-                machine.step()
-                continue
-            if stats.instructions + block.n > max_instructions:
-                # The limit falls inside this block: hand one
-                # instruction to the reference loop and re-evaluate.
-                machine.step()
-                continue
-            if subscribers:
-                self._run_granular(block)
-                continue
-            kind = block.route[0]
-            if kind == "cache":
-                self._run_cached(block, recorder)
-            elif kind == "spm" and recorder is None:
-                self._run_batched(block)
-            else:
-                # mixed routes need per-access adjudication, and the
-                # recorder takes SPM fetches one at a time from the bus
-                self._run_granular(block)
+        try:
+            while not cpu.halted:
+                if stats.instructions >= max_instructions:
+                    raise ExecutionLimitExceeded(
+                        "exceeded %d instructions at pc=0x%08x"
+                        % (max_instructions, cpu.state.pc))
+                pc = regs[PC]
+                if pc == EXIT_ADDRESS:
+                    cpu.halted = True
+                    break
+                block = blocks.get(pc)
+                if block is None:
+                    block = self._build_block(pc)
+                    blocks[pc] = block
+                if block is _STEP:
+                    machine.step()
+                    continue
+                if stats.instructions + block.n > max_instructions:
+                    # The limit falls inside this block: hand one
+                    # instruction to the reference loop and re-evaluate.
+                    machine.step()
+                    continue
+                if subscribers:
+                    self._run_granular(block)
+                    continue
+                kind = block.route[0]
+                if kind == "cache":
+                    self._run_cached(block, recorder)
+                elif kind == "spm" and recorder is None:
+                    self._run_batched(block)
+                else:
+                    # mixed routes need per-access adjudication, and the
+                    # recorder takes SPM fetches one at a time from the
+                    # bus
+                    self._run_granular(block)
+        finally:
+            counts = stats.mnemonic_counts
+            for block in blocks.values():
+                if block is not _STEP and block.retired:
+                    for mnemonic, count in block.counts.items():
+                        counts[mnemonic] = (counts.get(mnemonic, 0)
+                                            + count * block.retired)
+                    block.retired = 0
 
     # --- block construction ---------------------------------------------------
 
@@ -285,14 +305,14 @@ class FastEngine:
     def _run_cached(self, block, recorder):
         """The whole block fetches through the L1 cache and no subscriber
         listens.  The cache is stateful (LRU, fills, write-backs), so
-        fetches go one at a time, straight to :meth:`Cache.access` with
-        no publishes.  The cycle counter advances per instruction, so the
-        data rows a column ``recorder`` takes from the bus carry exact
-        ``at_cycle`` stamps; the recorder then gets one row for the
-        whole block."""
+        fetches go one at a time, straight to the value-free
+        :meth:`Cache.fetch` with no publishes.  The cycle counter
+        advances per instruction, so the data rows a column ``recorder``
+        takes from the bus carry exact ``at_cycle`` stamps; the recorder
+        then gets one row for the whole block."""
         stats = self.stats
         regs = self.regs
-        access = self.memory.cache.access
+        fetch = self.memory.cache.fetch
         pcs = block.pcs
         ops = block.ops
         n = block.n
@@ -306,8 +326,7 @@ class FastEngine:
             while i < n:
                 if sp_moves and regs[SP] < low_sp:
                     low_sp = regs[SP]
-                fetch_cycles = access(
-                    pcs[i], INSTRUCTION_BYTES, False, 0).cycles
+                fetch_cycles = fetch(pcs[i], INSTRUCTION_BYTES)
                 done = i + 1
                 cycles = fetch_cycles + ops[i]()
                 stats.cycles += cycles
@@ -348,11 +367,10 @@ class FastEngine:
         self._count_block(block)
 
     def _count_block(self, block):
-        stats = self.stats
-        stats.instructions += block.n
-        counts = stats.mnemonic_counts
-        for mnemonic, count in block.counts.items():
-            counts[mnemonic] = counts.get(mnemonic, 0) + count
+        """A whole block retired: :meth:`run` folds its mnemonic counts
+        in when the run ends."""
+        self.stats.instructions += block.n
+        block.retired += 1
 
     def _count_partial(self, block, done):
         """Reference semantics for an exception at block op ``done - 1``:

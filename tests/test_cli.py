@@ -124,6 +124,9 @@ def test_unknown_workload_is_reported(capsys):
     (("run", "kernel:crc32", "--scale", "0"), "scale"),
     (("profile", "case", "--outer-iterations", "-1"), "outer_iterations"),
     (("map", "case", "--array-words", "0"), "array_words"),
+    (("report", "--array-words", "0"), "array_words"),
+    (("report", "--array-words", "16", "--outer-iterations", "-1"),
+     "outer_iterations"),
 ])
 def test_non_positive_workload_size_is_reported(capsys, argv, name):
     code, out, err = run_cli(capsys, *argv)

@@ -1,9 +1,13 @@
 """Scratchpad composition, address routing, and remapping."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import ftspm_config
-from repro.config import Protection
+from repro.config import ALL_PRESETS, Protection, preset
 from repro.errors import ConfigurationError, MemoryAccessError
 from repro.events import EventKind
 from repro.mem import MemorySystem, SttRamDevice, build_scratchpad
@@ -43,14 +47,13 @@ def test_region_named_lookup(memory):
 
 
 def test_spm_read_write(memory):
-    spm = memory.data_spm
-    spm.write(DSPM_BASE + 100, 4, 0x1234)
-    assert spm.read(DSPM_BASE + 100, 4).value == 0x1234
+    memory.access(DSPM_BASE + 100, 4, True, 0x1234)
+    assert memory.access(DSPM_BASE + 100, 4, False).value == 0x1234
 
 
 def test_access_straddling_regions_raises(memory):
     with pytest.raises(MemoryAccessError):
-        memory.data_spm.read(DSPM_BASE + 2046, 4)
+        memory.access(DSPM_BASE + 2046, 4, False)
 
 
 def test_sttram_region_has_correct_type(memory):
@@ -180,3 +183,117 @@ def test_reset_stats(memory):
     memory.reset_stats()
     assert memory.instruction_spm.aggregate_stats().accesses == 0
     assert memory.cache.stats.accesses == 0
+
+
+# --- the router against a byte-by-byte oracle --------------------------------
+
+_HOME = 0x2000  # where the drawn remap entries' home ranges start (DRAM)
+
+
+def _fill(memory):
+    """Distinct bytes in every SPM region and around the DRAM addresses
+    the probes touch, so that a wrong leaf or offset reads a wrong
+    value."""
+    dram = memory.dram
+    for device, start, size in (
+            [(region, region.base, region.size)
+             for region in memory.spm_devices()]
+            + [(dram, 0, 2 * _HOME), (dram, dram.end - 256, 256)]):
+        rng = random.Random("%s@%d" % (device.name, start))
+        device.poke_bytes(start, rng.randbytes(size))
+
+
+@st.composite
+def _remaps(draw, spms):
+    """Non-overlapping ``(home_start, size, spm_address)`` entries with
+    home ranges in DRAM, some next to each other, and targets in either
+    SPM near a region edge (so some cross it)."""
+    entries = []
+    home = _HOME + draw(st.integers(0, 7))
+    for _ in range(draw(st.integers(0, 5))):
+        size = draw(st.integers(1, 48))
+        spm = draw(st.sampled_from(spms))
+        edge = draw(st.sampled_from(
+            [region.base for region in spm.devices] + [spm.end]))
+        target = edge + draw(st.integers(-size, size))
+        entries.append((home, size,
+                        min(max(target, spm.base), spm.end - size)))
+        home += size + draw(st.sampled_from((0, 0, 1, 3, 8, 20)))
+    return entries
+
+
+def _byte_route(memory, entries, address):
+    """The routing rule for one home byte: ``(entry, leaf, offset)``
+    from the remap entry that covers it, else the SPM region that holds
+    it, else the cache when it is in DRAM; None when unmapped."""
+    for index, (home, size, target) in enumerate(entries):
+        if home <= address < home + size:
+            spm_byte = target + address - home
+            region, = [region for region in memory.spm_devices()
+                       if region.contains(spm_byte)]
+            return index, region, target - home
+    for region in memory.spm_devices():
+        if region.contains(address):
+            return None, region, 0
+    if memory.dram.contains(address):
+        return None, memory.cache, 0
+    return None
+
+
+def _oracle_route(memory, entries, address, size):
+    """The route every byte of the range shares, or None."""
+    routes = {_byte_route(memory, entries, byte)
+              for byte in range(address, address + size)}
+    return routes.pop() if len(routes) == 1 else None
+
+
+@pytest.mark.parametrize("name", sorted(ALL_PRESETS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_router_matches_byte_by_byte_oracle(name, data):
+    memory = MemorySystem(preset(name))
+    _fill(memory)
+    entries = data.draw(_remaps((memory.instruction_spm, memory.data_spm)))
+    for entry in entries:
+        memory.install_remap(*entry)
+    edges = [edge for region in memory.spm_devices()
+             for edge in (region.base, region.end)]
+    points = edges + [0, memory.dram.end, ISPM_BASE - 2, 0x9000_0000]
+    for home, size, target in entries:
+        points += [home, home + size // 2, home + size]
+        # the home image of every region edge inside the entry
+        points += [edge - target + home for edge in edges
+                   if target < edge < target + size]
+    for _ in range(24):
+        address = (data.draw(st.sampled_from(points))
+                   + data.draw(st.integers(-5, 4)))
+        size = data.draw(st.sampled_from((1, 4)))
+        is_write = data.draw(st.booleans())
+        value = data.draw(st.integers(0, 2 ** 32 - 1))
+        route = _oracle_route(memory, entries, address, size)
+        if route is None:
+            with pytest.raises(MemoryAccessError):
+                memory.access(address, size, is_write, value)
+            continue
+        _, leaf, offset = route
+        storage = memory.dram if leaf is memory.cache else leaf
+        before = storage.peek_bytes(address + offset, size)
+        result = memory.access(address, size, is_write, value)
+        assert result.device_name == leaf.name
+        if is_write:
+            assert storage.peek_bytes(address + offset, size) == (
+                value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+        else:
+            assert result.value == int.from_bytes(before, "little")
+    for _ in range(8):
+        start = (data.draw(st.sampled_from(points))
+                 + data.draw(st.integers(-8, 8)))
+        size = data.draw(st.integers(1, 64))
+        route = _oracle_route(memory, entries, start, size)
+        if route is None:
+            expected = ("mixed",)
+        elif route[1] is memory.cache:
+            expected = ("cache",)
+        else:
+            expected = ("spm", route[1])
+        assert memory.constant_fetch_route(start, size) == expected

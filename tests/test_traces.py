@@ -8,7 +8,6 @@ from repro.errors import TraceError
 from repro.mem.hierarchy import MemorySystem
 from repro.workloads import (
     Trace,
-    TraceRecord,
     TraceRecorder,
     TraceReplayer,
     record_trace,
