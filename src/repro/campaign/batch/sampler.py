@@ -58,8 +58,8 @@ class StrikeBatch:
     chunk, advance a cursor into them each time ``live`` is set.
 
     ``positions`` is zero-padded past each trial's multiplicity, which
-    makes ``syndrome`` (the XOR of struck bit indices) computable with
-    one reduction: bit 0 XORs in nothing.
+    makes ``syndrome`` (the XOR of struck bit indices) a running XOR
+    over its columns: bit 0 XORs in nothing.
     """
 
     trials: int
@@ -114,7 +114,9 @@ class ShardSampler:
                                                 self.mbu)
         data = gen.integers(0, 2 ** 64, size=count, dtype=np.uint64)
         # bit 0 and the zero padding contribute nothing to the syndrome
-        syndrome = np.bitwise_xor.reduce(positions, axis=1)
+        syndrome = positions[:, 0].copy()
+        for column in range(1, positions.shape[1]):
+            syndrome ^= positions[:, column]
 
         return StrikeBatch(
             trials=n,

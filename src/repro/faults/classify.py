@@ -100,6 +100,10 @@ CLASS_ORDER = (ErrorClass.NONE, ErrorClass.DRE, ErrorClass.DUE,
 #: this are detected as uncorrectable)
 SECDED_MAX_POSITION = SECDED_BITS - 1  # 71
 
+#: the class codes as uint8 scalars, so selections keep the uint8 dtype
+_DRE, _DUE, _SDC = (np.uint8(code) for code in (CLASS_DRE, CLASS_DUE,
+                                                 CLASS_SDC))
+
 
 def protection_code(protection):
     """The uint8 array code of a :class:`~repro.config.Protection`."""
@@ -113,33 +117,32 @@ def classify_errors(protection, popcount, syndrome):
     ``PROT_PARITY`` / ``PROT_SECDED``) and broadcasts against the
     per-vector ``popcount`` and ``syndrome`` arrays.  Data words are
     not needed: see the module docstring for why the outcome is
-    data-independent.
+    data-independent.  Each vector takes its class in one pass of
+    nested selections over the module docstring's rules (protection
+    code, odd popcount, a single flip, an out-of-range or zero
+    syndrome); a zero popcount is then NONE whatever the code.  Any
+    other protection code raises ``ValueError`` before classifying.
     """
     protection, popcount, syndrome = np.broadcast_arrays(
         protection, popcount, syndrome)
-
-    odd = (popcount & 1).astype(bool)
-    # Unprotected data defaults to SDC; codec rules overwrite.
-    classes = np.full(popcount.shape, CLASS_SDC, dtype=np.uint8)
-
-    parity = protection == PROT_PARITY
-    classes[parity & odd] = CLASS_DUE
-
-    secded = protection == PROT_SECDED
-    classes[secded & (popcount == 1)] = CLASS_DRE
-    odd_multi = secded & odd & (popcount > 1)
-    classes[odd_multi] = np.where(
-        syndrome[odd_multi] > SECDED_MAX_POSITION, CLASS_DUE, CLASS_SDC)
-    even = secded & ~odd
-    classes[even] = np.where(
-        syndrome[even] == 0, CLASS_SDC, CLASS_DUE)
-    classes[popcount == 0] = CLASS_NONE
-
-    unknown = ~parity & ~secded & (protection != PROT_NONE)
+    unknown = ((protection != PROT_NONE) & (protection != PROT_PARITY)
+               & (protection != PROT_SECDED))
     if np.any(unknown):
         raise ValueError(
             "cannot classify protection codes %r"
             % np.unique(protection[unknown]).tolist())
+
+    odd = (popcount & 1).astype(bool)
+    classes = np.where(
+        protection == PROT_SECDED,
+        np.where(odd,
+                 np.where(popcount == 1, _DRE,
+                          np.where(syndrome > SECDED_MAX_POSITION,
+                                   _DUE, _SDC)),
+                 np.where(syndrome == 0, _SDC, _DUE)),
+        # parity detects an odd vector; unprotected data is silent
+        np.where(odd & (protection == PROT_PARITY), _DUE, _SDC))
+    classes[popcount == 0] = CLASS_NONE
     return classes
 
 

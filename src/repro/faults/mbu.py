@@ -35,6 +35,11 @@ class MbuDistribution:
                 "multiplicity probabilities must sum to 1 (got %g)" % total)
         if any(p < 0 for p in probabilities):
             raise FaultInjectionError("probabilities must be non-negative")
+        if max_multiplicity < 4:
+            # the ">3" bucket always flips at least 4 bits
+            raise FaultInjectionError(
+                "max_multiplicity must be at least 4 (got %r)"
+                % (max_multiplicity,))
         self.p1, self.p2, self.p3, self.p_more = probabilities
         self.max_multiplicity = max_multiplicity
 
@@ -78,71 +83,80 @@ def draw_clusters(generator, count, codeword_bits, mbu):
     chosen without replacement.  ``codeword_bits`` is a scalar or a
     per-strike array.  Draw order is fixed, because it is part of every
     stream's identity: multiplicity, geometric tail, window start,
-    positions.
+    positions.  Every strike draws the whole tail and all
+    ``max_multiplicity`` position draws, used or not, so the chunk
+    layout does not depend on what was drawn.
+
+    The positions are a Fisher-Yates selection over each strike's
+    window: step ``k`` picks index ``floor(u_k * (window - k))`` of a
+    pool of the window's offsets and backfills it with the pool's last
+    live element, the selection ``random.sample`` performs.  At step 0
+    the pool is still the identity, so the first offset is the pick
+    itself and a single-flip strike (62% at 40 nm) needs no pool.
+    Only the multi-flip strikes run the later steps, over one flat pool
+    of their windows.
 
     Returns ``(multiplicity, positions)``: int64 arrays of shape
-    ``(count,)`` and ``(count, max(4, mbu.max_multiplicity))``, the
-    positions zero-padded past each strike's multiplicity.
+    ``(count,)`` and ``(count, mbu.max_multiplicity)``, the positions
+    zero-padded past each strike's multiplicity.
     """
-    tail_length = max(0, mbu.max_multiplicity - 4)
-    max_m = max(4, mbu.max_multiplicity)
-    mult_draws = generator.random(count)
-    if tail_length:
-        tail_draws = generator.random((count, tail_length))
-    start_draws = generator.random(count)
-    pos_draws = generator.random((count, max_m))
-
+    max_m = mbu.max_multiplicity
+    # The draws stay in stream order, and each is used as soon as it is
+    # drawn, so only the position draws are still held when the
+    # positions are allocated.
+    #
     # Multiplicity: threshold the primary draw into 1/2/3/4-or-more,
     # then extend the ">3" bucket by the number of consecutive
-    # geometric-tail successes (cumprod stops at the first failure).
+    # geometric-tail successes (the running AND stops at the first
+    # failure).
+    mult_draws = generator.random(count)
     multiplicity = (1
                     + (mult_draws >= mbu.p1).astype(np.int64)
                     + (mult_draws >= mbu.p1 + mbu.p2)
                     + (mult_draws >= mbu.p1 + mbu.p2 + mbu.p3))
-    if tail_length:
-        extensions = np.cumprod(
-            tail_draws < _TAIL_CONTINUE, axis=1).sum(axis=1)
-        multiplicity = np.where(multiplicity == 4,
-                                4 + extensions, multiplicity)
+    if max_m > 4:
+        more = np.flatnonzero(multiplicity == 4)
+        tail = generator.random((count, max_m - 4))[more] < _TAIL_CONTINUE
+        running = tail[:, 0].copy()
+        extensions = running.astype(np.int64)
+        for column in range(1, max_m - 4):
+            running &= tail[:, column]
+            extensions += running
+        multiplicity[more] += extensions
 
     m_eff = np.minimum(multiplicity, codeword_bits)
     window = np.minimum(codeword_bits, m_eff + 2)
-    start = (start_draws * (codeword_bits - window + 1)).astype(np.int64)
-    offsets = _select_offsets(count, window, pos_draws)
-    # Shift offsets to absolute bit positions, then zero the padding
-    # columns so an XOR reduction sees only real flips.
-    struck = np.arange(max_m) < m_eff[:, np.newaxis]
-    return m_eff, (offsets + start[:, np.newaxis]) * struck
+    start = (generator.random(count)
+             * (codeword_bits - window + 1)).astype(np.int64)
+    pos_draws = generator.random((count, max_m))
 
-
-def _select_offsets(count, window, pos_draws):
-    """Distinct offsets inside each strike's window, one per column.
-
-    Vectorized Fisher-Yates selection: maintain a per-strike pool of
-    window offsets; each step picks index ``floor(u * remaining)`` and
-    backfills it with the pool's last live element — the same
-    selection ``random.sample`` performs, run as one whole-array step
-    per column.  Columns past a strike's multiplicity are padding.
-    """
-    max_m = pos_draws.shape[1]
-    max_window = int(window.max(initial=1))
-    # The narrowest dtype that holds an offset (uint8 for any real MBU
-    # model) keeps the per-chunk working set, and the page faults of
-    # allocating it afresh each chunk, small.
-    dtype = np.min_scalar_type(max_window)
-    pool = np.broadcast_to(
-        np.arange(max_window, dtype=dtype), (count, max_window)).copy()
-    offsets = np.zeros((count, max_m), dtype=dtype)
-    rows = np.arange(count)
-    for step in range(max_m):
-        remaining = window - step
-        # Finished rows (m_eff <= step) still need in-range indices;
-        # their picks are masked out of the result afterwards.
-        safe_remaining = np.clip(remaining, 1, None)
-        pick = np.minimum(
-            (pos_draws[:, step] * safe_remaining).astype(np.int64),
-            safe_remaining - 1)
-        offsets[:, step] = pool[rows, pick]
-        last = np.clip(remaining - 1, 0, None)
-        pool[rows, pick] = pool[rows, last]
-    return offsets
+    positions = np.zeros((count, max_m), dtype=np.int64)
+    first = np.minimum((pos_draws[:, 0] * window).astype(np.int64),
+                       window - 1)
+    positions[:, 0] = first + start
+    rows = np.flatnonzero(m_eff > 1)
+    if len(rows):
+        window, start, flips = window[rows], start[rows], m_eff[rows]
+        # Each multi-flip strike owns ``width`` slots of one flat pool,
+        # in the narrowest dtype that holds an offset (uint8 for any
+        # real MBU model): that keeps the per-chunk working set, and
+        # the page faults of allocating it afresh each chunk, small.
+        width = int(window.max())
+        pool = np.tile(np.arange(width, dtype=np.min_scalar_type(width)),
+                       len(rows))
+        slot = np.arange(len(rows)) * width
+        # step 0 took ``first``: backfill it with the window's last offset
+        pool[slot + first[rows]] = window - 1
+        for step in range(1, max_m):
+            # Finished strikes (flips <= step) stay in every step, with
+            # in-range picks and zeroed columns.  Dropping them shrinks
+            # the last steps to a few hundred rows, and buffers that
+            # small, allocated while the heap is extended, kept it from
+            # shrinking back: the process's peak RSS rose.
+            remaining = np.maximum(window - step, 1)
+            pick = slot + np.minimum(
+                (pos_draws[rows, step] * remaining).astype(np.int64),
+                remaining - 1)
+            positions[rows, step] = (pool[pick] + start) * (flips > step)
+            pool[pick] = pool[slot + remaining - 1]
+    return m_eff, positions

@@ -5,6 +5,11 @@ vectors in closed form (:mod:`repro.faults.classify`).  The hard
 guarantees under test:
 
 * the shared cluster draw yields well-formed clusters at any width,
+  and the very strikes of the whole-array draw kept below as its
+  oracle, consuming the same stream,
+* the one-pass classifier gives the class of the mask-scatter
+  classifier kept below as its oracle, for every protection code,
+  popcount 0..8 and syndrome 0..127,
 * replaying the *same* sampled clusters through the real codecs —
   ``InterleavedCodec.classify_group``, and ``classify`` -> ``decode``
   -> re-``encode`` writeback per scrub — gives exactly the kernel's
@@ -27,11 +32,22 @@ from repro.ecc.codec import DecodeOutcome, ErrorClass
 from repro.eval.ablations import experiment_ablation_interleaving
 from repro.faults import AccumulationCampaign, AccumulationResult
 from repro.faults.classify import (
+    CLASS_DRE,
+    CLASS_DUE,
+    CLASS_NONE,
     CLASS_ORDER,
+    CLASS_SDC,
+    PARITY_BITS,
+    PROT_NONE,
+    PROT_PARITY,
+    PROT_SECDED,
+    SECDED_BITS,
+    SECDED_MAX_POSITION,
+    classify_errors,
     classify_interleaved,
     protection_code,
 )
-from repro.faults.mbu import MbuDistribution, draw_clusters
+from repro.faults.mbu import _TAIL_CONTINUE, MbuDistribution, draw_clusters
 from repro.faults.scrubbing import scrub_pass
 
 MBU = MbuDistribution.for_node(40)
@@ -74,6 +90,169 @@ def test_draw_clusters_well_formed(width):
         assert 0 <= min(flips) and max(flips) < width
         assert max(flips) - min(flips) <= m + 1  # inside the m + 2 window
         assert not any(row[m:])  # zero padding
+
+
+def reference_draw_clusters(generator, count, codeword_bits, mbu):
+    """The whole-array cluster draw ``draw_clusters`` replaced, kept as
+    its oracle: every strike runs every Fisher-Yates step over a 2-D
+    pool."""
+    tail_length = max(0, mbu.max_multiplicity - 4)
+    max_m = max(4, mbu.max_multiplicity)
+    mult_draws = generator.random(count)
+    if tail_length:
+        tail_draws = generator.random((count, tail_length))
+    start_draws = generator.random(count)
+    pos_draws = generator.random((count, max_m))
+
+    # Multiplicity: threshold the primary draw into 1/2/3/4-or-more,
+    # then extend the ">3" bucket by the number of consecutive
+    # geometric-tail successes (cumprod stops at the first failure).
+    multiplicity = (1
+                    + (mult_draws >= mbu.p1).astype(np.int64)
+                    + (mult_draws >= mbu.p1 + mbu.p2)
+                    + (mult_draws >= mbu.p1 + mbu.p2 + mbu.p3))
+    if tail_length:
+        extensions = np.cumprod(
+            tail_draws < _TAIL_CONTINUE, axis=1).sum(axis=1)
+        multiplicity = np.where(multiplicity == 4,
+                                4 + extensions, multiplicity)
+
+    m_eff = np.minimum(multiplicity, codeword_bits)
+    window = np.minimum(codeword_bits, m_eff + 2)
+    start = (start_draws * (codeword_bits - window + 1)).astype(np.int64)
+    offsets = reference_select_offsets(count, window, pos_draws)
+    # Shift offsets to absolute bit positions, then zero the padding
+    # columns so an XOR reduction sees only real flips.
+    struck = np.arange(max_m) < m_eff[:, np.newaxis]
+    return m_eff, (offsets + start[:, np.newaxis]) * struck
+
+
+def reference_select_offsets(count, window, pos_draws):
+    """Distinct offsets inside each strike's window, one per column.
+
+    Vectorized Fisher-Yates selection: maintain a per-strike pool of
+    window offsets; each step picks index ``floor(u * remaining)`` and
+    backfills it with the pool's last live element — the same
+    selection ``random.sample`` performs, run as one whole-array step
+    per column.  Columns past a strike's multiplicity are padding.
+    """
+    max_m = pos_draws.shape[1]
+    max_window = int(window.max(initial=1))
+    dtype = np.min_scalar_type(max_window)
+    pool = np.broadcast_to(
+        np.arange(max_window, dtype=dtype), (count, max_window)).copy()
+    offsets = np.zeros((count, max_m), dtype=dtype)
+    rows = np.arange(count)
+    for step in range(max_m):
+        remaining = window - step
+        # Finished rows (m_eff <= step) still need in-range indices;
+        # their picks are masked out of the result afterwards.
+        safe_remaining = np.clip(remaining, 1, None)
+        pick = np.minimum(
+            (pos_draws[:, step] * safe_remaining).astype(np.int64),
+            safe_remaining - 1)
+        offsets[:, step] = pool[rows, pick]
+        last = np.clip(remaining - 1, 0, None)
+        pool[rows, pick] = pool[rows, last]
+    return offsets
+
+
+def codeword_widths(count):
+    """One width for every strike, or per-strike widths mixing parity
+    and SEC-DED codewords, as a campaign chunk over both region kinds
+    has."""
+    mixed = st.tuples(st.integers(0, 2 ** 32 - 1), st.floats(0, 1)).map(
+        lambda args: np.where(
+            np.random.default_rng(args[0]).random(count) < args[1],
+            PARITY_BITS, SECDED_BITS))
+    return st.one_of(st.sampled_from([33, 72, 144, 288, 576]), mixed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1),
+       count=st.one_of(st.sampled_from([0, 1, 65_536]),
+                       st.integers(2, 300)),
+       max_multiplicity=st.integers(4, 10),
+       draw=st.data())
+def test_draw_clusters_matches_reference(seed, count, max_multiplicity,
+                                         draw):
+    """Strike for strike, the multi-flip-only draw is the whole-array
+    one, and it consumes the same stream."""
+    widths = draw.draw(codeword_widths(count))
+    mbu = MbuDistribution((MBU.p1, MBU.p2, MBU.p3, MBU.p_more),
+                          max_multiplicity)
+    ours = np.random.Generator(np.random.PCG64(seed))
+    theirs = np.random.Generator(np.random.PCG64(seed))
+    multiplicity, positions = draw_clusters(ours, count, widths, mbu)
+    expected = reference_draw_clusters(theirs, count, widths, mbu)
+    for got, want in zip((multiplicity, positions), expected):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert ours.random() == theirs.random()
+
+
+def reference_classify_errors(protection, popcount, syndrome):
+    """The mask-scatter classifier ``classify_errors`` replaced, kept as
+    its oracle: SDC by default, each codec rule scattered over it in
+    turn."""
+    protection, popcount, syndrome = np.broadcast_arrays(
+        protection, popcount, syndrome)
+
+    odd = (popcount & 1).astype(bool)
+    # Unprotected data defaults to SDC; codec rules overwrite.
+    classes = np.full(popcount.shape, CLASS_SDC, dtype=np.uint8)
+
+    parity = protection == PROT_PARITY
+    classes[parity & odd] = CLASS_DUE
+
+    secded = protection == PROT_SECDED
+    classes[secded & (popcount == 1)] = CLASS_DRE
+    odd_multi = secded & odd & (popcount > 1)
+    classes[odd_multi] = np.where(
+        syndrome[odd_multi] > SECDED_MAX_POSITION, CLASS_DUE, CLASS_SDC)
+    even = secded & ~odd
+    classes[even] = np.where(
+        syndrome[even] == 0, CLASS_SDC, CLASS_DUE)
+    classes[popcount == 0] = CLASS_NONE
+
+    unknown = ~parity & ~secded & (protection != PROT_NONE)
+    if np.any(unknown):
+        raise ValueError(
+            "cannot classify protection codes %r"
+            % np.unique(protection[unknown]).tolist())
+    return classes
+
+
+def test_classify_errors_matches_reference_exhaustively():
+    """Every protection code x popcount 0..8 x syndrome 0..127, with
+    per-vector codes and with one code broadcast over all vectors."""
+    codes, popcount, syndrome = (
+        grid.ravel() for grid in np.meshgrid(
+            np.array([PROT_NONE, PROT_PARITY, PROT_SECDED], dtype=np.uint8),
+            np.arange(9, dtype=np.int64), np.arange(128, dtype=np.int64),
+            indexing="ij"))
+    got = classify_errors(codes, popcount, syndrome)
+    assert got.dtype == np.uint8 and got.shape == codes.shape
+    assert np.array_equal(
+        got, reference_classify_errors(codes, popcount, syndrome))
+    for code in (PROT_NONE, PROT_PARITY, PROT_SECDED):
+        got = classify_errors(code, popcount, syndrome)
+        assert got.dtype == np.uint8
+        assert np.array_equal(
+            got, reference_classify_errors(code, popcount, syndrome))
+
+
+@pytest.mark.parametrize("protection", [
+    3, np.array([PROT_SECDED, 3, PROT_NONE, 7, 3], dtype=np.uint8)])
+def test_classify_errors_rejects_unknown_codes_like_reference(protection):
+    popcount = np.array([1, 2, 3, 0, 5], dtype=np.int64)
+    syndrome = np.array([4, 9, 80, 0, 7], dtype=np.int64)
+    with pytest.raises(ValueError) as expected:
+        reference_classify_errors(protection, popcount, syndrome)
+    with pytest.raises(ValueError, match=r"^cannot classify protection "
+                       r"codes \[") as got:
+        classify_errors(protection, popcount, syndrome)
+    assert str(got.value) == str(expected.value)
 
 
 # --- replay oracles: same clusters, real codecs -----------------------------

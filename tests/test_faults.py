@@ -80,6 +80,23 @@ def test_probabilities_must_be_non_negative():
         MbuDistribution((1.1, 0.0, 0.0, -0.1))
 
 
+@pytest.mark.parametrize("max_multiplicity", [3, 2, 0])
+def test_max_multiplicity_must_cover_the_more_than_three_bucket(
+        max_multiplicity):
+    """The ">3" bucket always flips at least 4 bits, so a cap below 4
+    cannot hold the strikes ``draw_clusters`` would draw."""
+    with pytest.raises(FaultInjectionError, match="at least 4"):
+        MbuDistribution((0.62, 0.25, 0.06, 0.07), max_multiplicity)
+
+
+def test_max_multiplicity_four_sizes_the_positions():
+    mbu = MbuDistribution((0.62, 0.25, 0.06, 0.07), max_multiplicity=4)
+    multiplicity, positions = draw_clusters(
+        np.random.Generator(np.random.PCG64(4)), 2_000, 72, mbu)
+    assert positions.shape == (2_000, 4)
+    assert multiplicity.max() == 4
+
+
 def test_sampled_multiplicity_matches_distribution(mbu):
     """The cluster draw every campaign shard and ablation uses follows
     Dixit & Wood's 62/25/6/7 % multiplicity law."""
